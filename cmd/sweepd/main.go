@@ -68,7 +68,6 @@ import (
 	"time"
 
 	"cloversim"
-	"cloversim/internal/memsim"
 	"cloversim/internal/store"
 	"cloversim/internal/sweepd"
 )
@@ -81,7 +80,6 @@ func main() {
 		expandTimeout = flag.Duration("expand-timeout", 0, "per-request deadline for POST /v1/expand (0 = no server-side deadline)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before aborting them")
 		maxCells      = flag.Int("max-cells", sweepd.DefaultMaxCells, "largest cell count one POST /v1/expand may carry; advertised in /v1/healthz so dispatchers clamp chunk sizes")
-		analytic      = flag.String("analytic", "auto", "memsim analytic fast path: auto, off or force — all three simulate identical physics, so workers with different settings still produce store-compatible results")
 		syncFrom      = flag.String("sync-from", "", "comma-separated peer sweepd base URLs to replicate from via GET /v1/sync (converges this store to the peers' result sets)")
 		syncEvery     = flag.Duration("sync-every", 30*time.Second, "interval between replication pulls when -sync-from is set")
 	)
@@ -89,11 +87,6 @@ func main() {
 	if *storeDir == "" {
 		fatal(errors.New("-store is required"))
 	}
-	amode, err := memsim.ParseAnalyticMode(*analytic)
-	if err != nil {
-		fatal(err)
-	}
-	memsim.DefaultAnalytic = amode
 
 	st, err := store.Open(*storeDir, cloversim.PhysicsVersion)
 	if err != nil {

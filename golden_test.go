@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"cloversim/internal/machine"
-	"cloversim/internal/memsim"
 	"cloversim/internal/sweep"
 )
 
@@ -59,19 +58,6 @@ func runGolden(t *testing.T) (csv, json []byte) {
 	return cb.Bytes(), jb.Bytes()
 }
 
-// runGoldenAnalytic is runGolden with the memsim analytic tier pinned
-// to one mode for the whole campaign. The mode is deliberately NOT part
-// of the scenario config (it must never change a scenario's store key:
-// both paths simulate identical physics), so it is pinned through the
-// process-wide default that Hierarchy construction reads.
-func runGoldenAnalytic(t *testing.T, mode memsim.AnalyticMode) (csv, json []byte) {
-	t.Helper()
-	prev := memsim.DefaultAnalytic
-	memsim.DefaultAnalytic = mode
-	defer func() { memsim.DefaultAnalytic = prev }()
-	return runGolden(t)
-}
-
 // TestGoldenCampaign re-runs the checked-in canonical campaign and
 // byte-compares its CSV and JSON output against testdata/ fixtures, so
 // performance work on the simulation hot paths cannot silently change
@@ -84,17 +70,6 @@ func TestGoldenCampaign(t *testing.T) {
 	csv, json := runGolden(t)
 
 	if *updateGolden {
-		// Refuse to rewrite fixtures while the analytic and simulated
-		// memsim paths disagree: a fixture captured from a diverged
-		// fast path would launder the divergence into "expected"
-		// physics. Fix the divergence (the differential suites in
-		// internal/memsim localize it) before regenerating.
-		onCSV, onJSON := runGoldenAnalytic(t, memsim.AnalyticForce)
-		offCSV, offJSON := runGoldenAnalytic(t, memsim.AnalyticOff)
-		if !bytes.Equal(onCSV, offCSV) || !bytes.Equal(onJSON, offJSON) {
-			t.Fatalf("refusing -update-golden: analytic forced-on and forced-off campaigns diverge; " +
-				"fix the memsim analytic tier (see TestAnalyticDifferential) before regenerating fixtures")
-		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -139,32 +114,6 @@ func TestGoldenCampaign(t *testing.T) {
 	}
 	if !bytes.Equal(json, wantJSON) {
 		t.Errorf("campaign JSON deviates from golden fixture %s (run with -update-golden if the change is intended)", jsonPath)
-	}
-}
-
-// TestGoldenCampaignAnalyticBothWays re-runs the canonical campaign
-// with the memsim analytic tier forced on and forced off and requires
-// both to reproduce the committed fixtures byte for byte. Together with
-// the default-mode run in TestGoldenCampaign this pins all three knob
-// positions to one set of physics: the analytic tier is an optimization
-// that must never be observable in campaign output.
-func TestGoldenCampaignAnalyticBothWays(t *testing.T) {
-	wantCSV, err := os.ReadFile(filepath.Join("testdata", "golden_campaign.csv"))
-	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create the fixture)", err)
-	}
-	wantJSON, err := os.ReadFile(filepath.Join("testdata", "golden_campaign.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []memsim.AnalyticMode{memsim.AnalyticForce, memsim.AnalyticOff} {
-		csv, json := runGoldenAnalytic(t, mode)
-		if !bytes.Equal(csv, wantCSV) {
-			t.Errorf("analytic %v: campaign CSV deviates from golden fixture — the analytic and simulated paths disagree", mode)
-		}
-		if !bytes.Equal(json, wantJSON) {
-			t.Errorf("analytic %v: campaign JSON deviates from golden fixture", mode)
-		}
 	}
 }
 

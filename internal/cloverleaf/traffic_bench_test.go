@@ -22,8 +22,11 @@ func benchTrafficOpts(ranks int) TrafficOptions {
 	}
 }
 
+// BenchmarkRunTraffic's ranks71 case is the paper's prime-rank shape:
+// the 1D decomposition cuts the 15360-wide mesh into 216-wide strips,
+// the narrowest and most numerous rows any case simulates.
 func BenchmarkRunTraffic(b *testing.B) {
-	for _, ranks := range []int{1, 18, 72} {
+	for _, ranks := range []int{1, 18, 71, 72} {
 		b.Run(fmt.Sprintf("ranks%d", ranks), func(b *testing.B) {
 			o := benchTrafficOpts(ranks)
 			var bpc float64

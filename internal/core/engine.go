@@ -87,12 +87,7 @@ type Context struct {
 // it — but the resulting backend operations come in long same-kind runs
 // (every line of a CLX row pays an RFO, every line of an NT row goes
 // out non-temporally), which the engine coalesces and hands over
-// batched, in original order, when the backend supports it. Handing
-// over whole runs is also what lets the backend solve regular runs in
-// closed form instead of simulating them (the memsim analytic tier):
-// the engine's only obligation is to keep runs maximal — never split a
-// coalescible run — since the backend's eligibility checks are per
-// call.
+// batched, in original order, when the backend supports it.
 type RangeBackend interface {
 	RFORange(start, n int64)
 	ClaimI2MRange(start, n int64)

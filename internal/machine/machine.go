@@ -21,6 +21,10 @@ type CacheGeom struct {
 	LineBytes int // cache line size (64 on all modeled CPUs)
 }
 
+// MaxWays is the highest associativity the simulator's set model holds:
+// memsim tracks each set's empty ways in one 64-bit mask.
+const MaxWays = 64
+
 // Sets returns the number of sets implied by the geometry.
 func (g CacheGeom) Sets() int { return g.SizeBytes / (g.Ways * g.LineBytes) }
 
@@ -28,6 +32,9 @@ func (g CacheGeom) Sets() int { return g.SizeBytes / (g.Ways * g.LineBytes) }
 func (g CacheGeom) Validate() error {
 	if g.LineBytes <= 0 || g.Ways <= 0 || g.SizeBytes <= 0 {
 		return fmt.Errorf("machine: non-positive cache geometry %+v", g)
+	}
+	if g.Ways > MaxWays {
+		return fmt.Errorf("machine: %d ways exceed the simulator's %d-way limit", g.Ways, MaxWays)
 	}
 	if g.SizeBytes%(g.Ways*g.LineBytes) != 0 {
 		return fmt.Errorf("machine: size %d not divisible by ways*line %d", g.SizeBytes, g.Ways*g.LineBytes)

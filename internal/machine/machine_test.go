@@ -57,6 +57,31 @@ func TestCacheGeom(t *testing.T) {
 	}
 }
 
+// TestCacheGeomValidate: Validate accepts exactly the geometries the
+// simulator's set model can hold.
+func TestCacheGeomValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		g    CacheGeom
+		ok   bool
+	}{
+		{"icx-l1", CacheGeom{SizeBytes: 48 * 1024, Ways: 12, LineBytes: 64}, true},
+		{"direct-mapped", CacheGeom{SizeBytes: 64 * 64, Ways: 1, LineBytes: 64}, true},
+		{"max-ways", CacheGeom{SizeBytes: MaxWays * 64 * 4, Ways: MaxWays, LineBytes: 64}, true},
+		{"past-max-ways", CacheGeom{SizeBytes: (MaxWays + 1) * 64 * 4, Ways: MaxWays + 1, LineBytes: 64}, false},
+		{"fully-associative-256", CacheGeom{SizeBytes: 256 * 64, Ways: 256, LineBytes: 64}, false},
+		{"zero-ways", CacheGeom{SizeBytes: 4096, Ways: 0, LineBytes: 64}, false},
+		{"negative-size", CacheGeom{SizeBytes: -4096, Ways: 4, LineBytes: 64}, false},
+		{"zero-line", CacheGeom{SizeBytes: 4096, Ways: 4, LineBytes: 0}, false},
+		{"indivisible", CacheGeom{SizeBytes: 1000, Ways: 3, LineBytes: 64}, false},
+	}
+	for _, c := range cases {
+		if err := c.g.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok=%t", c.name, c.g, err, c.ok)
+		}
+	}
+}
+
 func TestCurveAt(t *testing.T) {
 	c := Curve{{0.2, 0}, {0.5, 0.6}, {1.0, 1.0}}
 	cases := []struct{ x, want float64 }{

@@ -109,63 +109,37 @@ func BenchmarkHierarchyStencilMixRange(b *testing.B) {
 }
 
 // Streaming-run benchmarks: whole-array sequential sweeps (the shape
-// stream/jacobi/cloverleaf rows produce), long enough that the
-// analytic tier's closed form applies. Each *Analytic/*Simulated pair
-// runs the identical access stream with the tier forced on and off, so
-// BENCH_sweep.json reports the two implementations of the same physics
-// side by side (both in ns per simulated line access):
+// stream/jacobi/cloverleaf rows produce), in ns per simulated line
+// access:
 //
 //	go test -bench 'StreamRange' ./internal/memsim
 const streamLen = 1 << 20 // 64 MiB of lines: ~23x the whole ICX hierarchy
 
-func benchStream(b *testing.B, kind AccessKind, mode AnalyticMode, expectTaken bool) {
+func benchStream(b *testing.B, kind AccessKind) {
 	h := benchHierarchy()
 	h.SetPrefetch(false)
-	h.SetAnalytic(mode)
 	b.ReportAllocs()
 	start := int64(0)
 	for i := 0; i < b.N; i += streamLen {
 		// Fresh state per sweep: streaming kernels touch each array
 		// once, and residue (dirty write-back state especially) would
-		// turn the steady-state comparison into a residue comparison.
+		// turn the steady-state measurement into a residue measurement.
 		h.Invalidate()
 		h.AccessRange(start, streamLen, kind)
 		start += streamLen
 	}
-	if mode == AnalyticForce {
-		if as := h.AnalyticStats(); expectTaken && as.TakenRuns == 0 {
-			b.Fatal("analytic benchmark never took the analytic path")
-		} else if !expectTaken && as.TakenRuns != 0 {
-			b.Fatal("fallback benchmark unexpectedly took the analytic path")
-		}
-	}
 }
 
-func BenchmarkHierarchyLoadStreamRangeAnalytic(b *testing.B) {
-	benchStream(b, AccessLoad, AnalyticForce, true)
+func BenchmarkHierarchyLoadStreamRange(b *testing.B) {
+	benchStream(b, AccessLoad)
 }
 
-func BenchmarkHierarchyLoadStreamRangeSimulated(b *testing.B) {
-	benchStream(b, AccessLoad, AnalyticOff, true)
+func BenchmarkHierarchyRFOStreamRange(b *testing.B) {
+	benchStream(b, AccessRFO)
 }
 
-// RFO streams past one L1 fill per set are NOT closed-form (their own
-// dirty self-evictions cascade), so this pair documents fallback
-// parity: the analytic tier must cost nothing on runs it rejects.
-func BenchmarkHierarchyRFOStreamRangeAnalytic(b *testing.B) {
-	benchStream(b, AccessRFO, AnalyticForce, false)
-}
-
-func BenchmarkHierarchyRFOStreamRangeSimulated(b *testing.B) {
-	benchStream(b, AccessRFO, AnalyticOff, false)
-}
-
-func BenchmarkHierarchyClaimI2MStreamRangeAnalytic(b *testing.B) {
-	benchStream(b, AccessClaimI2M, AnalyticForce, true)
-}
-
-func BenchmarkHierarchyClaimI2MStreamRangeSimulated(b *testing.B) {
-	benchStream(b, AccessClaimI2M, AnalyticOff, true)
+func BenchmarkHierarchyClaimI2MStreamRange(b *testing.B) {
+	benchStream(b, AccessClaimI2M)
 }
 
 func BenchmarkHierarchyFlush(b *testing.B) {

@@ -11,13 +11,13 @@
 // Hierarchy implements core.Backend, so the SpecI2M store engine of
 // internal/core drives it directly.
 //
-// Two implementations of the semantics coexist: the per-line/batched
-// simulation in this file and range.go, and the analytic closed-form
-// tier in analytic.go that solves regular sequential runs in O(sets x
-// ways). Any change to eviction order, write-allocate policy, LRU
-// stamping or the claim semantics MUST be made in both — the
-// differential and fuzz suites (range_test.go, analytic_test.go)
-// compare them bit-for-bit and will catch a one-sided edit.
+// One replacement model serves every access path: each set keeps an
+// exact recency list, so hits, installs and victim choice are O(1)
+// beyond the tag scan. The per-line methods (Load, RFO, ...) are the
+// reference; AccessRange (range.go) replays runs of them with way
+// prediction and presence filters, and the differential and fuzz
+// suites hold the two bit-identical. level_ref_test.go pins the
+// replacement order itself against a stamp-per-way LRU model.
 package memsim
 
 import (
@@ -90,15 +90,25 @@ func (c Counts) WriteBytes() int64 { return c.MemWriteLines * 64 }
 func (c Counts) TotalBytes() int64 { return (c.MemReadLines + c.MemWriteLines) * 64 }
 
 // level is one set-associative, write-back, LRU cache level.
+//
+// Replacement is exact LRU kept as a recency list per set: the ways
+// are doubly linked through link (indexed by slot, like tags) between
+// the set's MRU and LRU ends. Every hit and every install moves its way
+// to the MRU end. The victim is the lowest empty way above way 0 if
+// there is one, else the LRU end — O(1) either way. The claims empty a
+// way without moving it, so an emptied way 0 is refilled only once it
+// is least recent.
 type level struct {
 	sets  int
 	ways  int
 	mask  int64 // sets-1 (sets is a power of two)
 	shift uint  // log2(sets), for the presence-filter tag hash
 	tags  []int64
-	dirty []bool
-	stamp []uint32
-	clock uint32
+	link  []link
+	set   []setState
+	// link0 is link as reset leaves it, set0 every entry of set.
+	link0 []link
+	set0  setState
 	// pred and predWB are the way indices of the most recent demand and
 	// write-back hits — pure search-order hints (sequential streams hit
 	// the same way across consecutive sets), never semantic state. The
@@ -106,28 +116,25 @@ type level struct {
 	// streams do not thrash one predictor.
 	pred   int
 	predWB int
-	// filt holds one presence filter per set: the OR of 1<<(tag>>shift
-	// & 63) over (a superset of) the set's resident tags. A clear bit
-	// proves a line absent, letting the batched fast paths skip miss
-	// scans entirely; evictions leave stale bits (false positives) that
-	// the fast-path victim scans rebuild away. Like the predictors this
-	// is pure search acceleration, never semantic state.
-	filt []uint64
-	// vq caches, per set, the next few LRU victims computed during a
-	// full victim scan. An entry (way, stamp) is still the true victim
-	// iff that way's stamp is unchanged: stamps only grow, every
-	// mutation of a way reassigns its stamp, and the operations that
-	// empty a way without evicting (the claims) clear the set's queue
-	// explicitly. Only full sets are cached, so stamps are unique and
-	// the first-empty-way rule cannot be bypassed.
-	vq []victimQueue
 }
 
-// victimQueue caches up to 3 pre-validated future victims of one set.
-type victimQueue struct {
-	n   uint8
-	way [3]uint8
-	st  [3]uint32
+// link is one way's neighbours in its set's recency list.
+type link struct{ newer, older uint8 }
+
+// setState is one set's recency-list ends, empty and dirty ways, and
+// presence filter.
+type setState struct {
+	// empty has bit w set iff way w holds no line; dirty has bit w set
+	// iff way w holds a modified line.
+	empty, dirty uint64
+	// filt is the OR of 1<<(tag>>shift & 63) over (a superset of) the
+	// set's resident tags. A clear bit proves a line absent, letting the
+	// batched fast paths skip miss scans entirely; evictions leave stale
+	// bits (false positives) that the fast-path miss scans rebuild away.
+	// Like the predictors this is pure search acceleration, never
+	// semantic state.
+	filt     uint64
+	mru, lru uint8
 }
 
 // bit returns the presence-filter bit of a line: hashed from the bits
@@ -139,6 +146,9 @@ func (l *level) bit(line int64) uint64 {
 }
 
 func newLevel(g machine.CacheGeom) *level {
+	if g.Ways <= 0 || g.Ways > machine.MaxWays {
+		panic(fmt.Sprintf("memsim: %d ways outside 1..%d", g.Ways, machine.MaxWays))
+	}
 	sets := g.Sets()
 	if sets&(sets-1) != 0 {
 		// Round down to a power of two; keeps indexing cheap and is
@@ -155,65 +165,127 @@ func newLevel(g machine.CacheGeom) *level {
 		mask:  int64(sets - 1),
 		shift: uint(bits.TrailingZeros(uint(sets))),
 		tags:  make([]int64, sets*g.Ways),
-		dirty: make([]bool, sets*g.Ways),
-		stamp: make([]uint32, sets*g.Ways),
-		filt:  make([]uint64, sets),
-		vq:    make([]victimQueue, sets),
+		link:  make([]link, sets*g.Ways),
+		set:   make([]setState, sets),
+		link0: make([]link, sets*g.Ways),
+		set0:  setState{empty: ^uint64(0) >> (64 - g.Ways), mru: uint8(g.Ways - 1)},
 	}
-	for i := range l.tags {
-		l.tags[i] = -1
+	for i := range l.link0 {
+		// The ends' outward links are never read.
+		w := i % g.Ways
+		l.link0[i] = link{newer: uint8(w + 1), older: uint8(w - 1)}
 	}
+	l.reset()
 	return l
+}
+
+// reset empties every way and rebuilds each recency list with way 0
+// least recent and way W-1 most recent, so the fills that follow take
+// ways 1..W-1 (empty ways first), then way 0. It returns the number of
+// dirty lines dropped. The per-slot state is block-copied from
+// templates: Flush runs after every simulated loop.
+func (l *level) reset() (dirty int64) {
+	for i := range l.set {
+		dirty += int64(bits.OnesCount64(l.set[i].dirty))
+		l.set[i] = l.set0
+	}
+	for i := 0; i < len(l.tags); i += len(noTags) {
+		copy(l.tags[i:], noTags[:])
+	}
+	copy(l.link, l.link0)
+	return dirty
+}
+
+// noTags is a block of empty tags for reset to copy from.
+var noTags = func() (b [1024]int64) {
+	for i := range b {
+		b[i] = -1
+	}
+	return b
+}()
+
+// touch moves way w of set si (slots from base) to the MRU end.
+func (l *level) touch(si, base, w int) {
+	s := &l.set[si]
+	if int(s.mru) == w {
+		return
+	}
+	lk := l.link[base : base+l.ways : base+l.ways]
+	newer, older := lk[w].newer, lk[w].older
+	if int(s.lru) == w {
+		s.lru = newer
+	} else {
+		lk[older].newer = newer
+	}
+	lk[newer].older = older
+	lk[w].older = s.mru
+	lk[s.mru].newer = uint8(w)
+	s.mru = uint8(w)
 }
 
 // lookup probes for a line; on hit it refreshes LRU and returns the way
 // slot index, else -1.
 func (l *level) lookup(line int64) int {
-	set := int(line&l.mask) * l.ways
+	si := int(line & l.mask)
+	set := si * l.ways
 	for w := 0; w < l.ways; w++ {
 		if l.tags[set+w] == line {
-			l.clock++
-			l.stamp[set+w] = l.clock
+			l.touch(si, set, w)
 			return set + w
 		}
 	}
 	return -1
 }
 
-// victim returns the slot of the LRU way in the line's set.
-func (l *level) victim(line int64) int {
-	set := int(line&l.mask) * l.ways
-	best := set
-	bestStamp := l.stamp[set]
-	for w := 1; w < l.ways; w++ {
-		if l.tags[set+w] == -1 {
-			return set + w
-		}
-		if l.stamp[set+w] < bestStamp {
-			bestStamp = l.stamp[set+w]
-			best = set + w
-		}
+// victim returns the way to fill in set si: the first empty way past
+// way 0, else the LRU way.
+func (l *level) victim(si int) int {
+	s := &l.set[si]
+	if e := s.empty &^ 1; e != 0 {
+		return bits.TrailingZeros64(e)
 	}
-	return best
+	return int(s.lru)
 }
 
-// install places a line (possibly dirty), returning the evicted line and
-// whether it was dirty (evicted == -1 if the slot was empty).
+// install places a line (possibly dirty) into its set's victim way,
+// returning the evicted line and whether it was dirty (evicted == -1 if
+// the way was empty). The line must be absent from the level. The
+// presence filter picks up the new tag here, on both the per-line and
+// the batched path.
 func (l *level) install(line int64, dirty bool) (evicted int64, evDirty bool) {
-	return l.installAt(l.victim(line), line, dirty)
+	si := int(line & l.mask)
+	w := l.victim(si)
+	set := si * l.ways
+	slot := set + w
+	s := &l.set[si]
+	bit := uint64(1) << uint(w)
+	evicted, evDirty = l.tags[slot], s.dirty&bit != 0
+	l.tags[slot] = line
+	if dirty {
+		s.dirty |= bit
+	} else {
+		s.dirty &^= bit
+	}
+	s.empty &^= bit
+	s.filt |= l.bit(line)
+	l.touch(si, set, w)
+	return evicted, evDirty
 }
 
-// installAt places a line into a specific slot (as precomputed by probe),
-// with install's exact LRU clock behaviour. The presence filter picks up
-// the new tag here, on both the per-line and the batched path.
-func (l *level) installAt(slot int, line int64, dirty bool) (evicted int64, evDirty bool) {
-	evicted, evDirty = l.tags[slot], l.dirty[slot]
-	l.tags[slot] = line
-	l.dirty[slot] = dirty
-	l.clock++
-	l.stamp[slot] = l.clock
-	l.filt[int(line&l.mask)] |= l.bit(line)
-	return evicted, evDirty
+// drop empties the slot holding line (a claim moving the line's
+// ownership elsewhere) without moving it in the recency list.
+func (l *level) drop(line int64, slot int) {
+	si := int(line & l.mask)
+	bit := uint64(1) << uint(slot-si*l.ways)
+	l.tags[slot] = -1
+	l.set[si].empty |= bit
+	l.set[si].dirty &^= bit
+}
+
+// markDirty marks the slot holding line modified.
+func (l *level) markDirty(line int64, slot int) {
+	si := int(line & l.mask)
+	l.set[si].dirty |= 1 << uint(slot-si*l.ways)
 }
 
 // lookupFast is the batched-path lookup: identical semantics (hit
@@ -224,46 +296,31 @@ func (l *level) installAt(slot int, line int64, dirty bool) (evicted int64, evDi
 // confirmed its absence, tags are unique per set and the predicted-way
 // shortcut cannot change which slot a hit resolves to.
 func (l *level) lookupFast(line int64) (int, bool) {
-	si := int(line & l.mask)
-	set := si * l.ways
-	tags := l.tags[set : set+l.ways : set+l.ways]
-	if p := l.pred; p < len(tags) && tags[p] == line {
-		l.clock++
-		l.stamp[set+p] = l.clock
-		return set + p, true
-	}
-	if l.filt[si]&l.bit(line) == 0 {
-		return -1, false
-	}
-	if w := scanTags(tags, line); w >= 0 {
-		l.pred = w
-		l.clock++
-		l.stamp[set+w] = l.clock
-		return set + w, true
-	}
-	l.rebuild(si, tags)
-	return -1, false
+	return l.lookupPred(line, &l.pred)
 }
 
 // lookupWB is lookupFast on the write-back predictor slot: dirty
 // evictions of a sequential stream are themselves sequential, but lag
 // the demand stream, so they predict well only with their own slot.
 func (l *level) lookupWB(line int64) (int, bool) {
+	return l.lookupPred(line, &l.predWB)
+}
+
+// lookupPred is lookupFast on the predictor slot pred.
+func (l *level) lookupPred(line int64, pred *int) (int, bool) {
 	si := int(line & l.mask)
 	set := si * l.ways
 	tags := l.tags[set : set+l.ways : set+l.ways]
-	if p := l.predWB; p < len(tags) && tags[p] == line {
-		l.clock++
-		l.stamp[set+p] = l.clock
+	if p := *pred; p < len(tags) && tags[p] == line {
+		l.touch(si, set, p)
 		return set + p, true
 	}
-	if l.filt[si]&l.bit(line) == 0 {
+	if l.set[si].filt&l.bit(line) == 0 {
 		return -1, false
 	}
 	if w := scanTags(tags, line); w >= 0 {
-		l.predWB = w
-		l.clock++
-		l.stamp[set+w] = l.clock
+		*pred = w
+		l.touch(si, set, w)
 		return set + w, true
 	}
 	l.rebuild(si, tags)
@@ -276,60 +333,37 @@ func (l *level) lookupWB(line int64) (int, bool) {
 // usually absent everywhere, so the filter skip carries this path.
 func (l *level) lookupScan(line int64) (int, bool) {
 	si := int(line & l.mask)
-	if l.filt[si]&l.bit(line) == 0 {
+	if l.set[si].filt&l.bit(line) == 0 {
 		return -1, false
 	}
 	set := si * l.ways
 	tags := l.tags[set : set+l.ways : set+l.ways]
 	if w := scanTags(tags, line); w >= 0 {
-		l.clock++
-		l.stamp[set+w] = l.clock
+		l.touch(si, set, w)
 		return set + w, true
 	}
 	l.rebuild(si, tags)
 	return -1, false
 }
 
-// probe is lookupFast fused with victim selection in a single pass over
-// the set, for the batched demand path where a miss always leads to an
-// install: on hit it behaves exactly like lookup and returns (slot,
-// true); on miss it returns (victimSlot, false) where victimSlot is the
-// slot victim() would pick, valid until something mutates this set.
-// probe is used for L1, whose few sets saturate any presence filter —
-// so unlike installFast it does not pay for filter rebuilds; the L1
-// filter is refreshed only by installAt accumulation and Flush resets.
+// probe is lookupFast without the presence filter, for L1: its few
+// sets saturate any filter, so the filter check and its rebuilds would
+// only cost. The L1 filter is refreshed only by install accumulation and
+// Flush resets.
 func (l *level) probe(line int64) (int, bool) {
-	set := int(line&l.mask) * l.ways
+	si := int(line & l.mask)
+	set := si * l.ways
 	tags := l.tags[set : set+l.ways : set+l.ways]
 	if p := l.pred; p < len(tags) && tags[p] == line {
-		l.clock++
-		l.stamp[set+p] = l.clock
+		l.touch(si, set, p)
 		return set + p, true
 	}
-	stamps := l.stamp[set : set+len(tags)]
-	victim := 0
-	bestStamp := stamps[0]
-	empty := false
-	for w, t := range tags {
-		if t == line {
-			l.pred = w
-			l.clock++
-			stamps[w] = l.clock
-			return set + w, true
-		}
-		if w == 0 || empty {
-			continue
-		}
-		if t == -1 {
-			// victim() returns the first empty way (scanning w=1 up).
-			victim = w
-			empty = true
-		} else if s := stamps[w]; s < bestStamp {
-			bestStamp = s
-			victim = w
-		}
+	if w := scanTags(tags, line); w >= 0 {
+		l.pred = w
+		l.touch(si, set, w)
+		return set + w, true
 	}
-	return set + victim, false
+	return -1, false
 }
 
 // scanTags returns the way holding line, or -1 (tag-only scan, unrolled
@@ -358,85 +392,6 @@ func scanTags(tags []int64, line int64) int {
 	return -1
 }
 
-// victimWay is victim()'s scan over presliced tags: the first empty way
-// past way 0, else the LRU way.
-func (l *level) victimWay(set int, tags []int64) int {
-	stamps := l.stamp[set : set+len(tags)]
-	best := 0
-	bestStamp := stamps[0]
-	for w := 1; w < len(tags); w++ {
-		if tags[w] == -1 {
-			return w
-		}
-		if stamps[w] < bestStamp {
-			bestStamp = stamps[w]
-			best = w
-		}
-	}
-	return best
-}
-
-// installFast is install accelerated by the per-set victim queue: a
-// cached future victim validates with one stamp compare; on a queue
-// miss the full scan runs and refills the queue with the following
-// victims (only when the set is full, preserving the first-empty rule).
-func (l *level) installFast(line int64, dirty bool) (evicted int64, evDirty bool) {
-	si := int(line & l.mask)
-	set := si * l.ways
-	if q := &l.vq[si]; q.n > 0 {
-		slot := set + int(q.way[0])
-		if l.stamp[slot] == q.st[0] {
-			q.n--
-			q.way[0], q.st[0] = q.way[1], q.st[1]
-			q.way[1], q.st[1] = q.way[2], q.st[2]
-			return l.installAt(slot, line, dirty)
-		}
-		q.n = 0
-	}
-	tags := l.tags[set : set+l.ways : set+l.ways]
-	stamps := l.stamp[set : set+l.ways]
-	// Single pass: victim()'s exact semantics (first empty way past way
-	// 0 wins immediately) while collecting the 4 smallest stamps. Full
-	// sets have unique stamps (every one came from a clock increment),
-	// so the sorted order is unambiguous.
-	var w4 [4]uint8
-	var s4 [4]uint32
-	n := 0
-	for w := 0; w < len(tags); w++ {
-		if w > 0 && tags[w] == -1 {
-			return l.installAt(set+w, line, dirty)
-		}
-		s := stamps[w]
-		if n == 4 && s >= s4[3] {
-			continue
-		}
-		i := n
-		if i == 4 {
-			i = 3
-		}
-		for ; i > 0 && s < s4[i-1]; i-- {
-			w4[i], s4[i] = w4[i-1], s4[i-1]
-		}
-		w4[i], s4[i] = uint8(w), s
-		if n < 4 {
-			n++
-		}
-	}
-	if n > 1 {
-		q := &l.vq[si]
-		q.n = uint8(n - 1)
-		q.way[0], q.st[0] = w4[1], s4[1]
-		q.way[1], q.st[1] = w4[2], s4[2]
-		q.way[2], q.st[2] = w4[3], s4[3]
-	}
-	return l.installAt(set+int(w4[0]), line, dirty)
-}
-
-// vqClear invalidates the victim queue of line's set — required
-// whenever a way is emptied without a stamp reassignment (the claims),
-// since an empty way preempts the cached LRU order.
-func (l *level) vqClear(line int64) { l.vq[int(line&l.mask)].n = 0 }
-
 // rebuild replaces a set's presence filter with the OR over its
 // resident tags, shedding the stale bits evictions leave behind. Called
 // on a filter false positive (the filter said maybe-present, the scan
@@ -449,7 +404,7 @@ func (l *level) rebuild(si int, tags []int64) {
 			f |= l.bit(t)
 		}
 	}
-	l.filt[si] = f
+	l.set[si].filt = f
 }
 
 // Hierarchy is one core's cache hierarchy plus the memory controller
@@ -464,18 +419,14 @@ type Hierarchy struct {
 	pfNext     int
 	pfDist     int64
 	adjacentOn bool
-
-	// Analytic-tier state (see analytic.go).
-	amode  AnalyticMode
-	astats AnalyticStats
-	aMin   int64 // AnalyticAuto profitability threshold, in lines
-	aHuge  bool  // geometry outside the analytic tier's limits
 }
 
 const pfSlotCount = 16
 
 // New creates a hierarchy for the machine spec with prefetchers in their
-// default (spec) state.
+// default (spec) state. Every cache geometry of spec must pass
+// machine.CacheGeom.Validate; in particular no level may have more than
+// machine.MaxWays ways (New panics otherwise).
 func New(spec *machine.Spec) *Hierarchy {
 	h := &Hierarchy{
 		l1:         newLevel(spec.L1),
@@ -486,10 +437,7 @@ func New(spec *machine.Spec) *Hierarchy {
 		pfDist:     int64(spec.PF.StreamDistance),
 		adjacentOn: spec.PF.AdjacentEnabled,
 	}
-	for i := range h.pfSlots {
-		h.pfSlots[i] = -1
-	}
-	h.analyticSetup()
+	h.resetPrefetch()
 	return h
 }
 
@@ -528,7 +476,7 @@ func (h *Hierarchy) installL2L1(line int64, dirty bool) {
 // writebackToL2 handles a dirty eviction from L1.
 func (h *Hierarchy) writebackToL2(line int64) {
 	if slot := h.l2.lookup(line); slot >= 0 {
-		h.l2.dirty[slot] = true
+		h.l2.markDirty(line, slot)
 		return
 	}
 	if ev, d := h.l2.install(line, true); d && ev >= 0 {
@@ -539,7 +487,7 @@ func (h *Hierarchy) writebackToL2(line int64) {
 // writebackToL3 handles a dirty eviction from L2.
 func (h *Hierarchy) writebackToL3(line int64) {
 	if slot := h.l3.lookup(line); slot >= 0 {
-		h.l3.dirty[slot] = true
+		h.l3.markDirty(line, slot)
 		return
 	}
 	if ev, d := h.l3.install(line, true); d && ev >= 0 {
@@ -605,7 +553,7 @@ func (h *Hierarchy) access(line int64, dirty, allowPF bool) {
 	if slot := h.l1.lookup(line); slot >= 0 {
 		h.c.L1Hits++
 		if dirty {
-			h.l1.dirty[slot] = true
+			h.l1.markDirty(line, slot)
 		}
 		return
 	}
@@ -648,17 +596,13 @@ func (h *Hierarchy) ClaimI2M(line int64) {
 	h.c.ItoMLines++
 	// Drop stale private copies so the dirty state lives at L3.
 	if slot := h.l1.lookup(line); slot >= 0 {
-		h.l1.tags[slot] = -1
-		h.l1.dirty[slot] = false
-		h.l1.vqClear(line)
+		h.l1.drop(line, slot)
 	}
 	if slot := h.l2.lookup(line); slot >= 0 {
-		h.l2.tags[slot] = -1
-		h.l2.dirty[slot] = false
-		h.l2.vqClear(line)
+		h.l2.drop(line, slot)
 	}
 	if slot := h.l3.lookup(line); slot >= 0 {
-		h.l3.dirty[slot] = true
+		h.l3.markDirty(line, slot)
 		return
 	}
 	if ev, d := h.l3.install(line, true); d && ev >= 0 {
@@ -673,12 +617,10 @@ func (h *Hierarchy) ClaimI2M(line int64) {
 func (h *Hierarchy) ClaimL2(line int64) {
 	h.c.ItoMLines++ // counted in the same evasion event class
 	if slot := h.l1.lookup(line); slot >= 0 {
-		h.l1.tags[slot] = -1
-		h.l1.dirty[slot] = false
-		h.l1.vqClear(line)
+		h.l1.drop(line, slot)
 	}
 	if slot := h.l2.lookup(line); slot >= 0 {
-		h.l2.dirty[slot] = true
+		h.l2.markDirty(line, slot)
 		return
 	}
 	if ev, d := h.l2.install(line, true); d && ev >= 0 {
@@ -712,43 +654,21 @@ func (h *Hierarchy) WriteNTReverted(line int64) {
 // state matters (small working sets).
 func (h *Hierarchy) Flush() {
 	for _, l := range []*level{h.l1, h.l2, h.l3} {
-		for i := range l.tags {
-			if l.tags[i] >= 0 && l.dirty[i] {
-				h.c.MemWriteLines++
-			}
-			l.tags[i] = -1
-			l.dirty[i] = false
-			l.stamp[i] = 0
-		}
-		for i := range l.filt {
-			l.filt[i] = 0
-		}
-		for i := range l.vq {
-			l.vq[i] = victimQueue{}
-		}
-		l.clock = 0
+		h.c.MemWriteLines += l.reset()
 	}
-	for i := range h.pfSlots {
-		h.pfSlots[i] = -1
-	}
+	h.resetPrefetch()
 }
 
 // Invalidate drops all cached state without counting write-backs.
 func (h *Hierarchy) Invalidate() {
 	for _, l := range []*level{h.l1, h.l2, h.l3} {
-		for i := range l.tags {
-			l.tags[i] = -1
-			l.dirty[i] = false
-			l.stamp[i] = 0
-		}
-		for i := range l.filt {
-			l.filt[i] = 0
-		}
-		for i := range l.vq {
-			l.vq[i] = victimQueue{}
-		}
-		l.clock = 0
+		l.reset()
 	}
+	h.resetPrefetch()
+}
+
+// resetPrefetch forgets every detected prefetch stream.
+func (h *Hierarchy) resetPrefetch() {
 	for i := range h.pfSlots {
 		h.pfSlots[i] = -1
 	}
@@ -758,10 +678,8 @@ func (h *Hierarchy) Invalidate() {
 func (h *Hierarchy) DirtyLines() int {
 	n := 0
 	for _, l := range []*level{h.l1, h.l2, h.l3} {
-		for i := range l.tags {
-			if l.tags[i] >= 0 && l.dirty[i] {
-				n++
-			}
+		for _, st := range l.set {
+			n += bits.OnesCount64(st.dirty)
 		}
 	}
 	return n

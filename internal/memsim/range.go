@@ -38,15 +38,12 @@ func (k AccessKind) String() string {
 // start..start+n-1. It is semantically identical to calling the matching
 // per-line method (Load, RFO, ClaimI2M, ...) in a loop — cache state and
 // Counts are bit-identical, which the differential tests in
-// range_test.go and analytic_test.go enforce — but runs on two stacked
-// fast paths. Regular runs (see analytic.go) are solved in closed form,
-// O(sets x ways) regardless of length. Everything else runs on the
-// flattened simulation that exploits sequential-line locality: hits
-// resolve via a predicted-way compare (a stream lands on the same way
-// across consecutive sets), tag scans are unrolled, victim scans run
-// only when a line is actually installed, and per-access counters are
-// batched. Streaming loop nests spend most of their simulated accesses
-// here.
+// range_test.go enforce — but runs on a flattened simulation that
+// exploits sequential-line locality: hits resolve via a predicted-way
+// compare (a stream lands on the same way across consecutive sets), tag
+// scans are unrolled, presence filters skip scans for absent lines, and
+// per-access counters are batched. Streaming loop nests spend most of
+// their simulated accesses here.
 func (h *Hierarchy) AccessRange(start, n int64, kind AccessKind) {
 	if n <= 0 {
 		return
@@ -68,9 +65,6 @@ func (h *Hierarchy) AccessRange(start, n int64, kind AccessKind) {
 	case AccessWriteNTReverted:
 		h.c.NTReverted += n
 		h.c.RFOs += n
-	}
-	if h.amode != AnalyticOff && h.tryAnalytic(start, n, kind) {
-		return
 	}
 	switch kind {
 	case AccessLoad:
@@ -110,50 +104,46 @@ func (h *Hierarchy) WriteNTRevertedRange(start, n int64) {
 
 // accessRange is the batched equivalent of n calls to access() on
 // consecutive lines (minus the Loads/RFOs counter, which the caller
-// batches). The L1 probe fuses hit detection with victim selection —
-// every L1 miss installs into L1, so the victim scan is never wasted;
-// the fused slot v1 stays valid on the hit paths because nothing below
-// mutates L1 before the install. On a full miss with active
-// prefetchers, memFetch may touch any level, so that case falls back
-// to the exact per-line miss sequence with victims recomputed.
+// batches). On a full miss with active prefetchers, memFetch may touch
+// any level, so that case falls back to the exact per-line miss
+// sequence.
 func (h *Hierarchy) accessRange(start, n int64, dirty, allowPF bool) {
 	l1, l2, l3 := h.l1, h.l2, h.l3
 	fusedMiss := !allowPF || (!h.pfOn && !h.adjacentOn)
 	for line := start; line < start+n; line++ {
-		v1, hit := l1.probe(line)
-		if hit {
+		if slot, hit := l1.probe(line); hit {
 			h.c.L1Hits++
 			if dirty {
-				l1.dirty[v1] = true
+				l1.markDirty(line, slot)
 			}
 			continue
 		}
 		if _, hit := l2.lookupFast(line); hit {
 			h.c.L2Hits++
-			if ev, d := l1.installAt(v1, line, dirty); d && ev >= 0 {
+			if ev, d := l1.install(line, dirty); d && ev >= 0 {
 				h.writebackToL2Fast(ev)
 			}
 			continue
 		}
 		if _, hit := l3.lookupFast(line); hit {
 			h.c.L3Hits++
-			if ev, d := l2.installFast(line, false); d && ev >= 0 {
+			if ev, d := l2.install(line, false); d && ev >= 0 {
 				h.writebackToL3Fast(ev)
 			}
-			if ev, d := l1.installAt(v1, line, dirty); d && ev >= 0 {
+			if ev, d := l1.install(line, dirty); d && ev >= 0 {
 				h.writebackToL2Fast(ev)
 			}
 			continue
 		}
 		if fusedMiss {
 			h.c.MemReadLines++
-			if ev, d := l3.installFast(line, false); d && ev >= 0 {
+			if ev, d := l3.install(line, false); d && ev >= 0 {
 				h.c.MemWriteLines++
 			}
-			if ev, d := l2.installFast(line, false); d && ev >= 0 {
+			if ev, d := l2.install(line, false); d && ev >= 0 {
 				h.writebackToL3Fast(ev)
 			}
-			if ev, d := l1.installAt(v1, line, dirty); d && ev >= 0 {
+			if ev, d := l1.install(line, dirty); d && ev >= 0 {
 				h.writebackToL2Fast(ev)
 			}
 			continue
@@ -164,20 +154,20 @@ func (h *Hierarchy) accessRange(start, n int64, dirty, allowPF bool) {
 }
 
 // The Fast install/write-back/prefetch chain below mirrors the per-line
-// chain operation for operation — same probe order, same LRU clock
-// increments, same short-circuiting — swapping only the scan internals
-// (unrolled tag scans, presliced victim scans).
+// chain operation for operation — same probe order, same LRU updates,
+// same short-circuiting — swapping only the lookups for their predicted
+// and filtered variants.
 
 // installToL1Fast is installToL1 on the fast chain.
 func (h *Hierarchy) installToL1Fast(line int64, dirty bool) {
-	if ev, d := h.l1.installFast(line, dirty); d && ev >= 0 {
+	if ev, d := h.l1.install(line, dirty); d && ev >= 0 {
 		h.writebackToL2Fast(ev)
 	}
 }
 
 // installL2L1Fast is installL2L1 on the fast chain.
 func (h *Hierarchy) installL2L1Fast(line int64, dirty bool) {
-	if ev, d := h.l2.installFast(line, false); d && ev >= 0 {
+	if ev, d := h.l2.install(line, false); d && ev >= 0 {
 		h.writebackToL3Fast(ev)
 	}
 	h.installToL1Fast(line, dirty)
@@ -185,7 +175,7 @@ func (h *Hierarchy) installL2L1Fast(line int64, dirty bool) {
 
 // installThroughFast is installThrough on the fast chain.
 func (h *Hierarchy) installThroughFast(line int64, dirty bool) {
-	if ev, d := h.l3.installFast(line, false); d && ev >= 0 {
+	if ev, d := h.l3.install(line, false); d && ev >= 0 {
 		h.c.MemWriteLines++
 	}
 	h.installL2L1Fast(line, dirty)
@@ -194,10 +184,10 @@ func (h *Hierarchy) installThroughFast(line int64, dirty bool) {
 // writebackToL2Fast is writebackToL2 on the fast chain.
 func (h *Hierarchy) writebackToL2Fast(line int64) {
 	if slot, hit := h.l2.lookupWB(line); hit {
-		h.l2.dirty[slot] = true
+		h.l2.markDirty(line, slot)
 		return
 	}
-	if ev, d := h.l2.installFast(line, true); d && ev >= 0 {
+	if ev, d := h.l2.install(line, true); d && ev >= 0 {
 		h.writebackToL3Fast(ev)
 	}
 }
@@ -205,10 +195,10 @@ func (h *Hierarchy) writebackToL2Fast(line int64) {
 // writebackToL3Fast is writebackToL3 on the fast chain.
 func (h *Hierarchy) writebackToL3Fast(line int64) {
 	if slot, hit := h.l3.lookupWB(line); hit {
-		h.l3.dirty[slot] = true
+		h.l3.markDirty(line, slot)
 		return
 	}
-	if ev, d := h.l3.installFast(line, true); d && ev >= 0 {
+	if ev, d := h.l3.install(line, true); d && ev >= 0 {
 		h.c.MemWriteLines++
 	}
 }
@@ -226,7 +216,7 @@ func (h *Hierarchy) memFetchFast(line int64, allowPF bool) {
 			if _, l2hit := h.l2.lookupScan(buddy); !l2hit {
 				h.c.MemReadLines++
 				h.c.PFLines++
-				if ev, d := h.l3.installFast(buddy, false); d && ev >= 0 {
+				if ev, d := h.l3.install(buddy, false); d && ev >= 0 {
 					h.c.MemWriteLines++
 				}
 			}
@@ -265,7 +255,7 @@ func (h *Hierarchy) prefetchFast(line int64) {
 		}
 		h.c.MemReadLines++
 		h.c.PFLines++
-		if ev, dd := h.l3.installFast(l, false); dd && ev >= 0 {
+		if ev, dd := h.l3.install(l, false); dd && ev >= 0 {
 			h.c.MemWriteLines++
 		}
 	}
@@ -275,20 +265,16 @@ func (h *Hierarchy) prefetchFast(line int64) {
 func (h *Hierarchy) claimI2MFast(line int64) {
 	h.c.ItoMLines++
 	if slot, hit := h.l1.lookupScan(line); hit {
-		h.l1.tags[slot] = -1
-		h.l1.dirty[slot] = false
-		h.l1.vqClear(line)
+		h.l1.drop(line, slot)
 	}
 	if slot, hit := h.l2.lookupScan(line); hit {
-		h.l2.tags[slot] = -1
-		h.l2.dirty[slot] = false
-		h.l2.vqClear(line)
+		h.l2.drop(line, slot)
 	}
 	if slot, hit := h.l3.lookupFast(line); hit {
-		h.l3.dirty[slot] = true
+		h.l3.markDirty(line, slot)
 		return
 	}
-	if ev, d := h.l3.installFast(line, true); d && ev >= 0 {
+	if ev, d := h.l3.install(line, true); d && ev >= 0 {
 		h.c.MemWriteLines++
 	}
 }
@@ -297,15 +283,13 @@ func (h *Hierarchy) claimI2MFast(line int64) {
 func (h *Hierarchy) claimL2Fast(line int64) {
 	h.c.ItoMLines++
 	if slot, hit := h.l1.lookupScan(line); hit {
-		h.l1.tags[slot] = -1
-		h.l1.dirty[slot] = false
-		h.l1.vqClear(line)
+		h.l1.drop(line, slot)
 	}
 	if slot, hit := h.l2.lookupFast(line); hit {
-		h.l2.dirty[slot] = true
+		h.l2.markDirty(line, slot)
 		return
 	}
-	if ev, d := h.l2.installFast(line, true); d && ev >= 0 {
+	if ev, d := h.l2.install(line, true); d && ev >= 0 {
 		h.writebackToL3Fast(ev)
 	}
 }

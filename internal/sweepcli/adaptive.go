@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"cloversim/internal/memsim"
 	"cloversim/internal/search"
 	"cloversim/internal/store"
 	"cloversim/internal/sweep"
@@ -156,15 +155,4 @@ func emitFrontier(path string, emit func(io.Writer, *search.Outcome) error, o *s
 		return err
 	}
 	return f.Close()
-}
-
-// reportAnalyticStats prints the campaign-wide memsim analytic-tier
-// effectiveness summary (-analytic-stats) on stderr — stderr, not
-// stdout, because the counters legitimately differ between cold, warm
-// and fleet runs while stdout is byte-compared across all three.
-func reportAnalyticStats(stderr io.Writer, enabled bool) {
-	if !enabled {
-		return
-	}
-	fmt.Fprintf(stderr, "sweep: analytic tier: %s\n", memsim.GlobalAnalyticStats())
 }

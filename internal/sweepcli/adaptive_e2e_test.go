@@ -270,54 +270,3 @@ func TestE2EAdaptiveSharesStoreWithExhaustive(t *testing.T) {
 		t.Errorf("exhaustive run over visited cells simulated %d, want 0 (adaptive probes are ordinary store records)", sims.Load())
 	}
 }
-
-// TestAnalyticStatsFlag: -analytic-stats reports the memsim analytic
-// tier's campaign-wide effectiveness on stderr — stderr only, because
-// stdout is byte-compared across cold, warm and fleet runs whose
-// counters legitimately differ.
-func TestAnalyticStatsFlag(t *testing.T) {
-	args := []string{
-		"-q",
-		"-machines", "icx", "-workloads", "stream", "-modes", "baseline",
-		"-mesh", "1536x1536", "-maxrows", "8", "-ranks", "4", "-threads", "8",
-		"-out", filepath.Join(t.TempDir(), "out"),
-		"-analytic-stats",
-	}
-	code, stdout, stderr := runCLI(t, args, cloversim.RunScenario)
-	if code != ExitOK {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(string(stderr), "sweep: analytic tier: ") {
-		t.Errorf("stderr lacks the analytic-tier report:\n%s", stderr)
-	}
-	if !strings.Contains(string(stderr), "solved analytically") {
-		t.Errorf("report does not carry AnalyticStats.String():\n%s", stderr)
-	}
-	if strings.Contains(string(stdout), "analytic tier") {
-		t.Errorf("analytic-tier report leaked onto byte-compared stdout:\n%s", stdout)
-	}
-
-	// Off by default: without the flag, stderr stays clean.
-	args = args[:len(args)-1]
-	code, _, stderr = runCLI(t, args, cloversim.RunScenario)
-	if code != ExitOK {
-		t.Fatalf("exit %d without -analytic-stats, stderr:\n%s", code, stderr)
-	}
-	if strings.Contains(string(stderr), "analytic tier") {
-		t.Errorf("analytic-tier report printed without -analytic-stats:\n%s", stderr)
-	}
-}
-
-// TestAnalyticStatsFlagAdaptive: the report also covers adaptive
-// campaigns (probes run the same memsim physics underneath).
-func TestAnalyticStatsFlagAdaptive(t *testing.T) {
-	args := append(adaptiveArgs(filepath.Join(t.TempDir(), "s"), filepath.Join(t.TempDir(), "o")),
-		"-analytic-stats")
-	code, _, stderr := runCLI(t, args, frontierRunner(nil))
-	if code != ExitOK {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(string(stderr), "sweep: analytic tier: ") {
-		t.Errorf("adaptive stderr lacks the analytic-tier report:\n%s", stderr)
-	}
-}
