@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +45,7 @@ func main() {
 		}
 	}
 
-	c := sweep.NewEngine(*workers).Run(grid, func(s sweep.Scenario) (sweep.Metrics, error) {
+	c := sweep.NewEngine(*workers).RunScenariosContextProgress(context.Background(), grid.Expand(), func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		r, err := bench.RunCopy(bench.CopyOptions{
 			Machine: spec, Cores: s.Threads, Inner: *inner, Halo: *halo,
 			Elems: *elems, NT: s.Mode.NTStores, PFOff: s.Mode.PFOff,
@@ -58,7 +59,7 @@ func main() {
 		m.Add("itom_bpi", r.ItoMPerIt())
 		m.Add("rw_ratio", r.RWRatio())
 		return m, nil
-	})
+	}, nil)
 	if err := c.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "copybench:", err)
 		os.Exit(1)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -42,7 +43,7 @@ func main() {
 		}
 	}
 
-	c := sweep.NewEngine(*workers).Run(grid, func(s sweep.Scenario) (sweep.Metrics, error) {
+	c := sweep.NewEngine(*workers).RunScenariosContextProgress(context.Background(), grid.Expand(), func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		r, err := bench.RunStore(bench.StoreOptions{
 			Machine: spec, Streams: *streams, NT: s.Mode.NTStores, Cores: s.Threads,
 			BytesPerStream: *volume, PFOff: s.Mode.PFOff,
@@ -57,7 +58,7 @@ func main() {
 		m.Add("itom_mb", r.V.ItoM/1e6)
 		m.Add("ratio", r.Ratio())
 		return m, nil
-	})
+	}, nil)
 	if err := c.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "storebench:", err)
 		os.Exit(1)

@@ -37,11 +37,11 @@
 // that cmd/sweep's dispatch backend shards by. Point cmd/sweep
 // -workers at a set of sweepd addresses to run distributed campaigns.
 //
-// Expand responses stream on request: "Accept: application/x-ndjson"
-// switches POST /v1/expand to NDJSON frames emitting each cell's
-// result the moment it finalizes, with a terminal summary line
-// carrying the completion and durability status that the buffered
-// mode reports in headers.
+// Explicit-list expands always answer with an NDJSON stream: one frame
+// per cell the moment it finalizes, then a terminal summary line
+// carrying the completion and durability status. Grid expands answer
+// with campaign JSON (status in X-Expand-Incomplete / X-Store-Error
+// headers) unless the request sends "Accept: application/x-ndjson".
 //
 // Shutdown is graceful: on SIGINT/SIGTERM the daemon stops accepting
 // connections, drains in-flight requests (up to -drain-timeout), then

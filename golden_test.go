@@ -44,7 +44,7 @@ func goldenGrid() sweep.Grid {
 // runGolden executes the canonical campaign and renders both emitters.
 func runGolden(t *testing.T) (csv, json []byte) {
 	t.Helper()
-	c := sweep.NewEngine(0).Run(goldenGrid(), RunScenario)
+	c := runCampaign(sweep.NewEngine(0), goldenGrid(), RunScenarioContext)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}

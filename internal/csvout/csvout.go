@@ -23,25 +23,18 @@ func New(header ...string) *Table {
 	return &Table{Header: header}
 }
 
-// FormatCell renders one value the way Add does: floats with four
-// decimals, everything else with %v. Exported so incremental emitters
-// that bypass Table can format cells byte-identically to it.
-func FormatCell(v interface{}) string {
-	switch x := v.(type) {
-	case float64:
-		return fmt.Sprintf("%.4f", x)
-	case float32:
-		return fmt.Sprintf("%.4f", x)
-	default:
-		return fmt.Sprintf("%v", v)
-	}
-}
-
 // Add appends a row; values are formatted with %v, floats with %.4f.
 func (t *Table) Add(values ...interface{}) {
 	row := make([]string, len(values))
 	for i, v := range values {
-		row[i] = FormatCell(v)
+		switch x := v.(type) {
+		case float64:
+			row[i] = fmt.Sprintf("%.4f", x)
+		case float32:
+			row[i] = fmt.Sprintf("%.4f", x)
+		default:
+			row[i] = fmt.Sprintf("%v", v)
+		}
 	}
 	t.Rows = append(t.Rows, row)
 }

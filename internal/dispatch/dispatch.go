@@ -34,15 +34,15 @@
 // through the engine's normal write-through, so a distributed campaign
 // is byte-identical to a local cold run and exactly as resumable.
 //
-// Chunks execute over the streaming NDJSON expand mode by default:
-// each cell reports the moment its frame arrives, so the engine's
-// progress (and any live emitters above it) see remote completions in
-// real time instead of at chunk granularity, and a mid-chunk worker
-// death costs only the cells whose frames never arrived — the surfaced
-// prefix is kept, not re-simulated. Workers predating the streaming
-// protocol are detected per response and served buffered,
-// transparently; Fleet.Buffered forces the buffered path fleet-wide.
-// Workers also advertise their per-request cell cap in healthz, and
+// Chunks execute over the NDJSON expand stream: each cell reports the
+// moment its frame arrives, so the engine's progress sees remote
+// completions in real time instead of at chunk granularity, and a
+// worker dying partway through a chunk costs only the cells whose
+// frames never arrived — the surfaced prefix is kept, not
+// re-simulated. A worker predating the streaming protocol answers
+// with something other than a stream and fails like any other broken
+// worker: it is excluded and its cells go to the survivors. Workers
+// also advertise their per-request cell cap in healthz, and
 // chunks are clamped to it, so a big-capacity worker behind a small
 // -max-cells never sees its batches bounced with 400s.
 package dispatch
@@ -96,13 +96,6 @@ type Fleet struct {
 	// it well above a worker's expected chunk latency: stealing too
 	// eagerly wastes simulation, never correctness.
 	StragglerAfter time.Duration
-	// Buffered forces the buffered expand protocol fleet-wide instead
-	// of the streaming default. Results then arrive at chunk
-	// granularity: no per-cell progress while a chunk is in flight, and
-	// a mid-chunk worker death loses the whole chunk's work. Mixed
-	// fleets never need this — a worker that cannot stream is detected
-	// per response and served buffered automatically.
-	Buffered bool
 
 	workers []*worker
 }
@@ -241,27 +234,6 @@ func (f *Fleet) runWorker(ctx context.Context, wi int, w *worker, b *board, scen
 			}
 		}
 	}
-	// handle finalizes one cell's wire result against the board. Shared
-	// by the buffered loop and the streaming callback, so the two
-	// protocols cannot diverge in retry/dedup semantics.
-	handle := func(i int, r sweepd.ExecResult) {
-		switch {
-		case r.Unstarted:
-			// The worker never simulated this cell (its expand
-			// deadline, a draining daemon): re-dispatchable.
-			emit(b.release(wi, i, f.maxAttempts()))
-		case r.Err != nil:
-			// A genuine simulation failure is deterministic in the
-			// scenario — retrying it elsewhere would just fail again.
-			if b.complete(i) {
-				report(i, nil, r.Err)
-			}
-		default:
-			if b.complete(i) {
-				report(i, r.Metrics, nil)
-			}
-		}
-	}
 	for {
 		batch := b.take(ctx, wi, w.chunk(), f.stragglerAfter(), f.maxAttempts())
 		if len(batch) == 0 {
@@ -271,39 +243,42 @@ func (f *Fleet) runWorker(ctx context.Context, wi int, w *worker, b *board, scen
 		for k, i := range batch {
 			sub[k] = scenarios[i]
 		}
-		var err error
-		if f.Buffered {
-			var results []sweepd.ExecResult
-			if results, err = w.client.ExecuteScenarios(ctx, sub); err == nil {
-				for k, r := range results {
-					handle(batch[k], r)
+		// Each cell finalizes the moment its frame arrives — the
+		// engine's progress sees remote completions in real time, and
+		// straggler accounting tracks cells, not chunks. surfaced
+		// remembers which cells were delivered so a stream failure
+		// requeues only the rest.
+		surfaced := make([]bool, len(batch))
+		_, err := w.client.ExecuteScenariosStream(ctx, sub, func(k int, r sweepd.ExecResult) {
+			surfaced[k] = true
+			i := batch[k]
+			switch {
+			case r.Unstarted:
+				// The worker never simulated this cell (its expand
+				// deadline, a draining daemon): re-dispatchable.
+				emit(b.release(wi, i, f.maxAttempts()))
+			case r.Err != nil:
+				// A genuine simulation failure is deterministic in the
+				// scenario — retrying it elsewhere would just fail again.
+				if b.complete(i) {
+					report(i, nil, r.Err)
+				}
+			default:
+				if b.complete(i) {
+					report(i, r.Metrics, nil)
 				}
 			}
-		} else {
-			// Streaming: each cell finalizes the moment its frame
-			// arrives — the engine's progress sees remote completions in
-			// real time, and straggler accounting tracks cells, not
-			// chunks. surfaced remembers which cells were delivered so a
-			// mid-stream failure requeues only the rest.
-			surfaced := make([]bool, len(batch))
-			_, err = w.client.ExecuteScenariosStream(ctx, sub, func(k int, r sweepd.ExecResult) {
-				surfaced[k] = true
-				handle(batch[k], r)
-			})
-			if err != nil {
-				var rest []int
-				for k, i := range batch {
-					if !surfaced[k] {
-						rest = append(rest, i)
-					}
-				}
-				batch = rest
-			}
-		}
+		})
 		if err != nil {
 			// Worker-level failure: exclude this worker for the rest of
 			// the batch, requeue its unaccounted cells for the survivors.
-			emit(b.workerFailed(wi, batch, f.maxAttempts(),
+			var rest []int
+			for k, i := range batch {
+				if !surfaced[k] {
+					rest = append(rest, i)
+				}
+			}
+			emit(b.workerFailed(wi, rest, f.maxAttempts(),
 				fmt.Errorf("dispatch: worker %s failed: %w", w.client.BaseURL, err)))
 			return
 		}

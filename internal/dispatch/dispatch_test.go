@@ -25,8 +25,8 @@ const testPhysics = "ptest"
 
 // testRunner simulates one scenario deterministically, with a value
 // chosen to exercise bit-exact transport (1/3 is not representable).
-func testRunner(sims *atomic.Int64) sweep.Runner {
-	return func(s sweep.Scenario) (sweep.Metrics, error) {
+func testRunner(sims *atomic.Int64) sweep.RunnerContext {
+	return func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		sims.Add(1)
 		var m sweep.Metrics
 		m.Add("v", float64(s.Ranks)/3.0)
@@ -52,7 +52,7 @@ func startWorker(t *testing.T, capacity int, physics string, wrap func(http.Hand
 		t.Fatal(err)
 	}
 	w := &fleetWorker{st: st}
-	srv := sweepd.New(st, sweep.IgnoreContext(testRunner(&w.sims)), capacity)
+	srv := sweepd.New(st, testRunner(&w.sims), capacity)
 	h := http.Handler(srv.Handler())
 	if wrap != nil {
 		h = wrap(h)
@@ -100,10 +100,10 @@ func runCampaign(t *testing.T, f *Fleet, scs []sweep.Scenario) (sweep.Campaign, 
 	eng := sweep.NewEngine(0)
 	eng.Backend = f
 	eng.Cache = clientStore
-	c := eng.RunScenariosContext(context.Background(), scs, func(context.Context, sweep.Scenario) (sweep.Metrics, error) {
+	c := eng.RunScenariosContextProgress(context.Background(), scs, func(context.Context, sweep.Scenario) (sweep.Metrics, error) {
 		localSims.Add(1)
 		return nil, errors.New("local runner must not execute under a fleet backend")
-	})
+	}, nil)
 	if n := localSims.Load(); n != 0 {
 		t.Errorf("local runner executed %d scenarios; the fleet backend must own execution", n)
 	}
@@ -134,7 +134,7 @@ func TestFleetExecutesCampaign(t *testing.T) {
 	var ref atomic.Int64
 	runLocal := testRunner(&ref)
 	for i, r := range camp.Results {
-		want, _ := runLocal(scs[i])
+		want, _ := runLocal(context.Background(), scs[i])
 		if len(r.Metrics) != len(want) {
 			t.Fatalf("result %d: %d metrics, want %d", i, len(r.Metrics), len(want))
 		}
@@ -374,22 +374,21 @@ func bounceUnstarted(t *testing.T, physics string) *httptest.Server {
 			Unstarted bool   `json:"unstarted"`
 			Error     string `json:"error"`
 		}
-		out := struct {
-			Physics string `json:"physics"`
-			Results []res  `json:"results"`
-		}{Physics: physics}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		enc.Encode(map[string]any{"stream": map[string]any{"physics": physics, "scenarios": len(spec.Scenarios)}})
 		for _, key := range spec.Scenarios {
 			s, err := sweep.ParseKey(key)
 			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
+				return // the stream ends without a summary: truncated
 			}
-			out.Results = append(out.Results, res{
+			enc.Encode(map[string]res{"result": {
 				ID: s.ID(), Key: key, Unstarted: true,
 				Error: fmt.Sprintf("not started: %s", sweep.ErrUnstarted),
-			})
+			}})
 		}
-		json.NewEncoder(w).Encode(out)
+		n := len(spec.Scenarios)
+		enc.Encode(map[string]any{"summary": map[string]any{"scenarios": n, "unstarted": n, "incomplete": "deadline"}})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -485,9 +484,9 @@ func TestFleetCancellation(t *testing.T) {
 		cancel()
 		once.Do(func() { close(release) })
 	}()
-	camp := eng.RunScenariosContext(ctx, scs, sweep.IgnoreContext(func(sweep.Scenario) (sweep.Metrics, error) {
+	camp := eng.RunScenariosContextProgress(ctx, scs, func(context.Context, sweep.Scenario) (sweep.Metrics, error) {
 		return nil, errors.New("local runner must not execute")
-	}))
+	}, nil)
 	if !camp.Interrupted() {
 		t.Fatal("cancelled fleet campaign does not read as interrupted")
 	}

@@ -3,7 +3,9 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -16,12 +18,11 @@ import (
 	"cloversim/internal/sweepd"
 )
 
-// TestFleetStreamsPerCellProgress: with the streaming protocol, the
-// engine's progress sees a remote completion while the rest of its
-// chunk is still simulating. The last cell blocks worker-side until
-// the client-side engine has reported another cell of the SAME chunk —
-// under the buffered protocol that is a deadlock (bounded here by the
-// context timeout).
+// TestFleetStreamsPerCellProgress: the engine's progress sees a remote
+// completion while the rest of its chunk is still simulating. The last
+// cell blocks worker-side until the client-side engine has reported
+// another cell of the SAME chunk — chunk-granular delivery would
+// deadlock here (bounded by the context timeout).
 func TestFleetStreamsPerCellProgress(t *testing.T) {
 	release := make(chan struct{})
 	st, err := store.Open(filepath.Join(t.TempDir(), "store"), testPhysics)
@@ -53,17 +54,16 @@ func TestFleetStreamsPerCellProgress(t *testing.T) {
 	eng := sweep.NewEngine(0)
 	eng.Backend = f
 	var once atomic.Bool
-	eng.Progress = func(done, total int, r sweep.Result) {
+	c := eng.RunScenariosContextProgress(ctx, scenarios(4), func(context.Context, sweep.Scenario) (sweep.Metrics, error) {
+		return nil, errors.New("local runner must not execute under a fleet backend")
+	}, func(done, total int, r sweep.Result) {
 		if r.Scenario.Ranks != 4 && once.CompareAndSwap(false, true) {
 			close(release)
 		}
-	}
-	c := eng.RunScenariosContext(ctx, scenarios(4), func(context.Context, sweep.Scenario) (sweep.Metrics, error) {
-		return nil, errors.New("local runner must not execute under a fleet backend")
 	})
 	for _, r := range c.Results {
 		if r.Err != nil {
-			t.Fatalf("cell %s failed (buffered-granularity progress would deadlock here): %v", r.ID, r.Err)
+			t.Fatalf("cell %s failed (chunk-granular progress would deadlock here): %v", r.ID, r.Err)
 		}
 	}
 }
@@ -79,7 +79,7 @@ func TestFleetClampsChunksToWorkerMaxCells(t *testing.T) {
 	}
 	t.Cleanup(func() { st.Close() })
 	var sims atomic.Int64
-	srv := sweepd.New(st, sweep.IgnoreContext(testRunner(&sims)), 8)
+	srv := sweepd.New(st, testRunner(&sims), 8)
 	srv.MaxCells = 2
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -100,28 +100,6 @@ func TestFleetClampsChunksToWorkerMaxCells(t *testing.T) {
 	}
 	if sims.Load() != int64(len(scs)) {
 		t.Errorf("%d simulations for %d cells", sims.Load(), len(scs))
-	}
-}
-
-// TestFleetBufferedOptOut: forcing the buffered protocol fleet-wide
-// still executes the campaign correctly — it is a granularity choice,
-// never a correctness one.
-func TestFleetBufferedOptOut(t *testing.T) {
-	w := startWorker(t, 4, testPhysics, nil)
-	f := newFleet(t, testPhysics, w)
-	f.Buffered = true
-	scs := scenarios(6)
-	c, _ := runCampaign(t, f, scs)
-	for i, r := range c.Results {
-		if r.Err != nil {
-			t.Fatalf("cell %s failed: %v", r.ID, r.Err)
-		}
-		if v, _ := r.Metrics.Get("v"); v != float64(scs[i].Ranks)/3.0 {
-			t.Errorf("cell %s v = %v, want bit-exact %v", r.ID, v, float64(scs[i].Ranks)/3.0)
-		}
-	}
-	if w.sims.Load() != int64(len(scs)) {
-		t.Errorf("%d simulations for %d cells", w.sims.Load(), len(scs))
 	}
 }
 
@@ -163,7 +141,7 @@ func (c *cutWriter) Write(b []byte) (int, error) {
 func (c *cutWriter) Unwrap() http.ResponseWriter { return c.ResponseWriter }
 
 // TestFleetKeepsSurfacedPrefixOnStreamDeath: when a worker's stream
-// dies mid-chunk, the cells whose frames already arrived are kept —
+// dies partway through a chunk, the cells whose frames already arrived are kept —
 // only the unsurfaced remainder is requeued for the survivors. The
 // campaign completes without failures and the surfaced prefix is never
 // re-dispatched.
@@ -177,7 +155,7 @@ func TestFleetKeepsSurfacedPrefixOnStreamDeath(t *testing.T) {
 	c, clientStore := runCampaign(t, f, scs)
 	for i, r := range c.Results {
 		if r.Err != nil {
-			t.Fatalf("cell %s failed; a mid-stream death must cost only unsurfaced cells: %v", r.ID, r.Err)
+			t.Fatalf("cell %s failed; a stream death must cost only unsurfaced cells: %v", r.ID, r.Err)
 		}
 		if v, _ := r.Metrics.Get("v"); v != float64(scs[i].Ranks)/3.0 {
 			t.Errorf("cell %s v = %v, want bit-exact %v", r.ID, v, float64(scs[i].Ranks)/3.0)
@@ -192,5 +170,41 @@ func TestFleetKeepsSurfacedPrefixOnStreamDeath(t *testing.T) {
 	if max := int64(len(scs) - surfacedBeforeCut); healthy.sims.Load() > max {
 		t.Errorf("healthy worker simulated %d cells, want <= %d (surfaced prefix must not be re-dispatched)",
 			healthy.sims.Load(), max)
+	}
+}
+
+// TestFleetExcludesPreStreamingWorker: a worker that answers an expand
+// with a campaign JSON body instead of an NDJSON stream (a daemon that
+// predates the streaming protocol) fails as a worker: it is excluded
+// and its cells complete on the rest of the fleet.
+func TestFleetExcludesPreStreamingWorker(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(sweepd.Health{OK: true, Physics: testPhysics, Capacity: 4})
+	})
+	var expands atomic.Int64
+	mux.HandleFunc("POST /v1/expand", func(w http.ResponseWriter, r *http.Request) {
+		expands.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `{"physics":%q,"results":[]}`+"\n", testPhysics)
+	})
+	old := httptest.NewServer(mux)
+	t.Cleanup(old.Close)
+	healthy := startWorker(t, 1, testPhysics, nil)
+	f, err := New(context.Background(), []string{old.URL, healthy.srv.URL}, testPhysics)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	scs := scenarios(6)
+	c, _ := runCampaign(t, f, scs)
+	if err := c.Err(); err != nil {
+		t.Fatalf("campaign failed; the pre-NDJSON worker's cells must go to the survivor: %v", err)
+	}
+	if expands.Load() == 0 {
+		t.Fatal("the pre-NDJSON worker was never dispatched to; the test proves nothing")
+	}
+	if healthy.sims.Load() != int64(len(scs)) {
+		t.Errorf("healthy worker simulated %d cells, want all %d", healthy.sims.Load(), len(scs))
 	}
 }

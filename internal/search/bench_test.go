@@ -31,7 +31,7 @@ func BenchmarkAdaptiveVsExhaustive(b *testing.B) {
 				Target: target,
 			}
 			out, err := plan.Run(context.Background(), sweep.NewEngine(4),
-				sweep.IgnoreContext(syntheticRunner(AxisRanks, thresholds, &cells)), nil)
+				syntheticRunner(AxisRanks, thresholds, &cells), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func BenchmarkAdaptiveVsExhaustive(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			eng := sweep.NewEngine(4)
-			c := eng.RunScenarios(scenarios, syntheticRunner(AxisRanks, thresholds, &cells))
+			c := eng.RunScenariosContextProgress(context.Background(), scenarios, syntheticRunner(AxisRanks, thresholds, &cells), nil)
 			if err := c.Err(); err != nil {
 				b.Fatal(err)
 			}

@@ -325,7 +325,8 @@ func (p *Plan) Validate() error {
 // Run executes the adaptive campaign: waves of explicit scenarios
 // through eng (whose memoizer, tier-2 cache, backend and progress
 // semantics apply unchanged), bisection between waves. The runner is
-// only consulted by local backends, exactly as in Engine.RunContext.
+// only consulted by local backends, exactly as in
+// Engine.RunScenariosContextProgress.
 //
 // Cancelling ctx stops the search at the current wave: classified
 // points stand, Outcome.Interrupted is set, and no error is returned

@@ -39,10 +39,9 @@ type Backend interface {
 }
 
 // LocalBackend executes scenarios on an in-process bounded worker
-// pool — the engine's historical execution strategy, now one
-// implementation of the Backend interface. Runner panics are isolated
-// into per-scenario errors; cancellation is observed at dispatch and
-// at the worker-slot acquire, so a cancelled batch stops starting new
+// pool — the engine's default Backend. Runner panics are isolated into
+// per-scenario errors; cancellation is observed at dispatch and at the
+// worker-slot acquire, so a cancelled batch stops starting new
 // scenarios while running ones complete.
 type LocalBackend struct {
 	// Workers bounds concurrent scenario executions (<= 0 means
@@ -54,20 +53,29 @@ type LocalBackend struct {
 
 // Execute implements Backend.
 func (b *LocalBackend) Execute(ctx context.Context, scenarios []Scenario, report ReportFunc) {
-	if ctx == nil {
-		//lint:allow ctxflow nil-ctx compat defaulting so a hand-rolled Backend caller cannot crash the pool
-		ctx = context.Background()
-	}
-	workers := b.Workers
+	pool(ctx, b.Workers, len(scenarios), func(i int) {
+		m, err := runSafe(ctx, b.Run, scenarios[i])
+		report(i, m, err)
+	}, func(i int) {
+		report(i, nil, unstartedErr(ctx, scenarios[i], scenarios[i].ID()))
+	})
+}
+
+// pool runs task(0..n-1) on at most workers concurrent goroutines
+// (<= 0 means GOMAXPROCS) and returns once every task has finished or
+// been skipped. Cancelling ctx stops new tasks from starting — checked
+// at dispatch, while a task queues for a slot, and right after it
+// acquires one — and skip(i) finalizes each task that never ran;
+// running tasks complete. skip may be nil when ctx cannot be cancelled.
+func pool(ctx context.Context, workers, n int, task, skip func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i := range scenarios {
+	for i := 0; i < n; i++ {
 		if ctx.Err() != nil {
-			// Dispatch-time cancellation: finalize without scheduling.
-			report(i, nil, unstartedErr(ctx, scenarios[i], scenarios[i].ID()))
+			skip(i)
 			continue
 		}
 		wg.Add(1)
@@ -76,21 +84,17 @@ func (b *LocalBackend) Execute(ctx context.Context, scenarios []Scenario, report
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
-				// The batch was cancelled while this scenario queued for
-				// a worker slot: finalize it unstarted so the pool drains
-				// without doing new work.
-				report(i, nil, unstartedErr(ctx, scenarios[i], scenarios[i].ID()))
+				skip(i)
 				return
 			}
 			defer func() { <-sem }()
 			if ctx.Err() != nil {
-				// Slot acquired in a race with cancellation: still no new
-				// work.
-				report(i, nil, unstartedErr(ctx, scenarios[i], scenarios[i].ID()))
+				// Slot acquired in a race with cancellation: still no
+				// new work.
+				skip(i)
 				return
 			}
-			m, err := runSafe(ctx, b.Run, scenarios[i])
-			report(i, m, err)
+			task(i)
 		}(i)
 	}
 	wg.Wait()

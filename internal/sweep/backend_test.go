@@ -14,7 +14,7 @@ import (
 func TestLocalBackendIsDefault(t *testing.T) {
 	var runs atomic.Int64
 	eng := NewEngine(2)
-	c := eng.RunScenarios(testScenarios(4), func(s Scenario) (Metrics, error) {
+	c := runList(eng, testScenarios(4), func(s Scenario) (Metrics, error) {
 		runs.Add(1)
 		var m Metrics
 		m.Add("v", float64(s.Ranks))
@@ -59,7 +59,7 @@ func TestEngineRoutesColdCellsThroughBackend(t *testing.T) {
 	eng.Backend = b
 	scs := testScenarios(3)
 	scs = append(scs, scs[0]) // in-campaign duplicate: must not reach the backend
-	c := eng.RunScenarios(scs, func(Scenario) (Metrics, error) {
+	c := runList(eng, scs, func(Scenario) (Metrics, error) {
 		t.Error("per-call runner executed despite an explicit backend")
 		return nil, nil
 	})
@@ -81,7 +81,7 @@ func TestEngineRoutesColdCellsThroughBackend(t *testing.T) {
 	// A second campaign on the same engine is all-warm: the backend
 	// must not be consulted at all.
 	before := len(b.got)
-	if err := eng.RunScenarios(testScenarios(3), nil).Err(); err != nil {
+	if err := runList(eng, testScenarios(3), nil).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.got) != before {
@@ -95,7 +95,7 @@ func TestEngineRoutesColdCellsThroughBackend(t *testing.T) {
 func TestEngineFinalizesUnreportedCells(t *testing.T) {
 	eng := NewEngine(0)
 	eng.Backend = &reportingBackend{skip: 2}
-	c := eng.RunScenarios(testScenarios(4), nil)
+	c := runList(eng, testScenarios(4), nil)
 	var failed int
 	for _, r := range c.Results {
 		if r.Err != nil {
@@ -119,7 +119,7 @@ func (panickyBackend) Execute(context.Context, []Scenario, ReportFunc) { panic("
 func TestEnginePanickingBackend(t *testing.T) {
 	eng := NewEngine(0)
 	eng.Backend = panickyBackend{}
-	c := eng.RunScenarios(testScenarios(2), nil)
+	c := runList(eng, testScenarios(2), nil)
 	for _, r := range c.Results {
 		if r.Err == nil || !strings.Contains(r.Err.Error(), "backend exploded") {
 			t.Errorf("result %s error %v, want the backend panic", r.ID, r.Err)
@@ -135,7 +135,7 @@ func TestEngineWritesBackendResultsThrough(t *testing.T) {
 	eng := NewEngine(0)
 	eng.Backend = &reportingBackend{}
 	eng.Cache = cache
-	if err := eng.RunScenarios(testScenarios(3), nil).Err(); err != nil {
+	if err := runList(eng, testScenarios(3), nil).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if n := cache.puts.Load(); n != 3 {

@@ -46,7 +46,7 @@ func cacheGrid() Grid {
 	}
 }
 
-func countingRunner(calls *atomic.Int64) Runner {
+func countingRunner(calls *atomic.Int64) func(Scenario) (Metrics, error) {
 	return func(s Scenario) (Metrics, error) {
 		calls.Add(1)
 		var m Metrics
@@ -62,7 +62,7 @@ func countingRunner(calls *atomic.Int64) Runner {
 func TestCacheTierMakesCampaignsResumable(t *testing.T) {
 	cache := newFakeCache()
 	var cold atomic.Int64
-	c1 := (&Engine{Cache: cache}).Run(cacheGrid(), countingRunner(&cold))
+	c1 := runGrid(&Engine{Cache: cache}, cacheGrid(), countingRunner(&cold))
 	if err := c1.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCacheTierMakesCampaignsResumable(t *testing.T) {
 	}
 
 	var warm atomic.Int64
-	c2 := (&Engine{Cache: cache}).Run(cacheGrid(), countingRunner(&warm))
+	c2 := runGrid(&Engine{Cache: cache}, cacheGrid(), countingRunner(&warm))
 	if err := c2.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +105,9 @@ func TestMemoizerShadowsCacheTier(t *testing.T) {
 	cache := newFakeCache()
 	eng := &Engine{Cache: cache}
 	var calls atomic.Int64
-	eng.Run(cacheGrid(), countingRunner(&calls))
+	runGrid(eng, cacheGrid(), countingRunner(&calls))
 	probes := cache.gets.Load()
-	eng.Run(cacheGrid(), countingRunner(&calls))
+	runGrid(eng, cacheGrid(), countingRunner(&calls))
 	if calls.Load() != 4 {
 		t.Fatalf("re-run executed %d fresh scenarios, want 0 extra (4 total)", calls.Load())
 	}
@@ -123,7 +123,7 @@ func TestCachePutErrorsAggregate(t *testing.T) {
 	cache := newFakeCache()
 	cache.putErr = errors.New("disk full")
 	var calls atomic.Int64
-	c := (&Engine{Cache: cache}).Run(cacheGrid(), countingRunner(&calls))
+	c := runGrid(&Engine{Cache: cache}, cacheGrid(), countingRunner(&calls))
 	if err := c.Err(); err != nil {
 		t.Fatalf("scenario results polluted by cache failure: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestCachePutErrorsAggregate(t *testing.T) {
 func TestFailedScenariosNotPersisted(t *testing.T) {
 	cache := newFakeCache()
 	boom := errors.New("boom")
-	c := (&Engine{Cache: cache}).Run(cacheGrid(), func(s Scenario) (Metrics, error) {
+	c := runGrid(&Engine{Cache: cache}, cacheGrid(), func(s Scenario) (Metrics, error) {
 		if s.Machine == "a" {
 			return nil, boom
 		}
@@ -153,7 +153,7 @@ func TestFailedScenariosNotPersisted(t *testing.T) {
 	}
 	// The retry: failed scenarios re-execute, successes come warm.
 	var retries atomic.Int64
-	c2 := (&Engine{Cache: cache}).Run(cacheGrid(), func(s Scenario) (Metrics, error) {
+	c2 := runGrid(&Engine{Cache: cache}, cacheGrid(), func(s Scenario) (Metrics, error) {
 		retries.Add(1)
 		var m Metrics
 		m.Add("v", 1)

@@ -77,7 +77,7 @@ func TestRunContextCancellationStopsScheduling(t *testing.T) {
 	var progress atomic.Int64
 	doneSeen := make(map[int]bool)
 	var doneMu sync.Mutex
-	e.Progress = func(done, total int, r Result) {
+	hook := func(done, total int, r Result) {
 		progress.Add(1)
 		if total != 12 || done < 1 || done > 12 {
 			t.Errorf("bad progress counters done=%d total=%d", done, total)
@@ -91,7 +91,7 @@ func TestRunContextCancellationStopsScheduling(t *testing.T) {
 	}
 
 	campaign := make(chan Campaign, 1)
-	go func() { campaign <- e.RunContext(ctx, g, runner) }()
+	go func() { campaign <- e.RunScenariosContextProgress(ctx, g.Expand(), runner, hook) }()
 	<-started
 	<-started // both workers hold a scenario
 	cancel()
@@ -148,10 +148,10 @@ func TestRunContextPreCancelled(t *testing.T) {
 	cache := &countingCache{}
 	e := NewEngine(4)
 	e.Cache = cache
-	c := e.RunContext(ctx, testGrid(), func(context.Context, Scenario) (Metrics, error) {
+	c := e.RunScenariosContextProgress(ctx, testGrid().Expand(), func(context.Context, Scenario) (Metrics, error) {
 		invocations.Add(1)
 		return nil, nil
-	})
+	}, nil)
 	if invocations.Load() != 0 {
 		t.Errorf("pre-cancelled campaign ran %d simulations, want 0", invocations.Load())
 	}
@@ -169,7 +169,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	c := NewEngine(2).RunContext(ctx, testGrid(), IgnoreContext(echoRunner))
+	c := NewEngine(2).RunScenariosContextProgress(ctx, testGrid().Expand(), echoRunnerContext, nil)
 	if len(c.Unstarted()) != 12 {
 		t.Fatalf("%d unstarted, want 12", len(c.Unstarted()))
 	}
@@ -188,10 +188,10 @@ func TestRunContextCancelDuringCacheProbe(t *testing.T) {
 	e := NewEngine(2)
 	e.Cache = cache
 	var invocations atomic.Int64
-	c := e.RunContext(ctx, testGrid(), func(context.Context, Scenario) (Metrics, error) {
+	c := e.RunScenariosContextProgress(ctx, testGrid().Expand(), func(context.Context, Scenario) (Metrics, error) {
 		invocations.Add(1)
 		return nil, nil
-	})
+	}, nil)
 	if got := cache.gets.Load(); got != 1 {
 		t.Errorf("cache probed %d times after cancellation, want 1", got)
 	}
@@ -222,8 +222,9 @@ func (c *cancellingCache) Put(Scenario, Metrics) error { return nil }
 // for the shared-progress race: two campaigns running concurrently on
 // ONE engine (exactly what sweepd does across expand requests) must
 // each see their own monotonically complete done counts. Before the
-// per-run counter, RunScenarios reset the shared e.done on entry, so
-// a second campaign clobbered the first one's counts mid-flight.
+// per-run counter, a campaign reset the shared engine done count on
+// entry, so a second campaign clobbered the first one's counts
+// mid-flight.
 func TestConcurrentCampaignsIndependentProgress(t *testing.T) {
 	gridA := testGrid() // 12 scenarios, total identifies the campaign
 	gridB := Grid{      // 6 scenarios, disjoint IDs from gridA
@@ -235,12 +236,12 @@ func TestConcurrentCampaignsIndependentProgress(t *testing.T) {
 	e := NewEngine(4)
 	var mu sync.Mutex
 	seen := map[int][]int{} // total -> done values, in callback order
-	e.Progress = func(done, total int, r Result) {
+	hook := func(done, total int, r Result) {
 		mu.Lock()
 		seen[total] = append(seen[total], done)
 		mu.Unlock()
 	}
-	slow := func(s Scenario) (Metrics, error) {
+	slow := func(_ context.Context, s Scenario) (Metrics, error) {
 		time.Sleep(time.Millisecond) // force the campaigns to interleave
 		return echoRunner(s)
 	}
@@ -249,7 +250,7 @@ func TestConcurrentCampaignsIndependentProgress(t *testing.T) {
 		wg.Add(1)
 		go func(g Grid) {
 			defer wg.Done()
-			if c := e.Run(g, slow); len(c.Failed()) != 0 {
+			if c := e.RunScenariosContextProgress(context.Background(), g.Expand(), slow, hook); len(c.Failed()) != 0 {
 				t.Errorf("campaign failed: %v", c.Err())
 			}
 		}(g)

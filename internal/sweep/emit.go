@@ -65,19 +65,6 @@ type jsonMetric struct {
 	Bits  string   `json:"bits,omitempty"`
 }
 
-// toJSONMetric renders one metric in the campaign JSON form, shared by
-// the buffered JSONEmitter and the streaming JSONStream so the two
-// paths cannot drift.
-func toJSONMetric(m Metric) jsonMetric {
-	jm := jsonMetric{Name: m.Name}
-	if v := m.Value; math.IsNaN(v) || math.IsInf(v, 0) {
-		jm.Bits = fmt.Sprintf("%016x", math.Float64bits(v))
-	} else {
-		jm.Value = &v
-	}
-	return jm
-}
-
 // jsonResult carries no cache-provenance field: warm (store-served)
 // and cold campaigns must encode byte-identically.
 type jsonResult struct {
@@ -112,37 +99,35 @@ func (e JSONEmitter) Emit(w io.Writer, c Campaign) error {
 		Results:   make([]jsonResult, 0, len(c.Results)),
 	}
 	for _, r := range c.Results {
-		out.Results = append(out.Results, toJSONResult(r))
+		jr := jsonResult{
+			ID:       r.ID,
+			Machine:  r.Scenario.Machine,
+			Workload: r.Scenario.Workload,
+			Mode:     r.Scenario.Mode.Name,
+			Ranks:    r.Scenario.Ranks,
+			Mesh:     r.Scenario.Mesh.String(),
+			Threads:  r.Scenario.Threads,
+			Seed:     r.Scenario.Seed,
+		}
+		if r.Err != nil {
+			jr.Error = r.Err.Error()
+		}
+		for _, m := range r.Metrics {
+			jm := jsonMetric{Name: m.Name}
+			if v := m.Value; math.IsNaN(v) || math.IsInf(v, 0) {
+				jm.Bits = fmt.Sprintf("%016x", math.Float64bits(v))
+			} else {
+				jm.Value = &v
+			}
+			jr.Metrics = append(jr.Metrics, jm)
+		}
+		out.Results = append(out.Results, jr)
 	}
 	enc := json.NewEncoder(w)
 	if e.Indent {
 		enc.SetIndent("", "  ")
 	}
 	return enc.Encode(out)
-}
-
-// toJSONResult renders one result in the campaign JSON form — the
-// shared element encoding of the buffered and streaming JSON paths.
-// It carries no cache-provenance field: warm and cold campaigns must
-// encode byte-identically.
-func toJSONResult(r Result) jsonResult {
-	jr := jsonResult{
-		ID:       r.ID,
-		Machine:  r.Scenario.Machine,
-		Workload: r.Scenario.Workload,
-		Mode:     r.Scenario.Mode.Name,
-		Ranks:    r.Scenario.Ranks,
-		Mesh:     r.Scenario.Mesh.String(),
-		Threads:  r.Scenario.Threads,
-		Seed:     r.Scenario.Seed,
-	}
-	if r.Err != nil {
-		jr.Error = r.Err.Error()
-	}
-	for _, m := range r.Metrics {
-		jr.Metrics = append(jr.Metrics, toJSONMetric(m))
-	}
-	return jr
 }
 
 // SummaryEmitter renders a terminal summary: completion counts plus an

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -42,23 +41,13 @@ type Result struct {
 	Cached   bool
 }
 
-// Runner executes one scenario.
-type Runner func(Scenario) (Metrics, error)
-
-// RunnerContext is the cancellation-aware runner form: the engine
-// passes it the campaign context so a long-running simulation can
-// observe cancellation (returning early with ctx.Err() is fine — the
-// scenario is then a failure, not a cached result). Runners that
-// ignore the context keep the engine's coarser guarantee: running
-// cells complete, unstarted cells never start.
+// RunnerContext executes one scenario under the campaign context, so
+// a long-running simulation can observe cancellation (returning early
+// with ctx.Err() is fine — the scenario is then a failure, not a
+// cached result). Runners that ignore the context keep the engine's
+// coarser guarantee: running cells complete, unstarted cells never
+// start.
 type RunnerContext func(context.Context, Scenario) (Metrics, error)
-
-// IgnoreContext adapts a context-free Runner to the RunnerContext
-// form. The adapted runner is not interruptible mid-scenario;
-// cancellation still stops unstarted cells at dispatch.
-func IgnoreContext(run Runner) RunnerContext {
-	return func(_ context.Context, s Scenario) (Metrics, error) { return run(s) }
-}
 
 // ErrUnstarted marks a scenario a cancelled campaign never started:
 // its Result carries an error wrapping both ErrUnstarted and the
@@ -145,12 +134,12 @@ type Cache interface {
 }
 
 // Engine executes campaigns with per-scenario result caching. The
-// host side — grid expansion, deduplication, the in-memory memoizer,
-// the persistent second-tier cache, write-through, progress and
-// deterministic result ordering — always runs in-process; the
-// execution of cold cells is delegated to a pluggable Backend. The
-// zero value is usable: execution defaults to a LocalBackend over the
-// per-call runner, with Workers defaulting to runtime.GOMAXPROCS(0).
+// host side — deduplication, the in-memory memoizer, the persistent
+// second-tier cache, write-through, progress and deterministic result
+// ordering — always runs in-process; the execution of cold cells is
+// delegated to a pluggable Backend. The zero value is usable:
+// execution defaults to a LocalBackend over the per-call runner, with
+// Workers defaulting to runtime.GOMAXPROCS(0).
 type Engine struct {
 	// Workers bounds concurrent scenario executions of the default
 	// local backend. It is ignored when Backend is set.
@@ -167,24 +156,15 @@ type Engine struct {
 	// fresh successes are written through. Put errors do not fail
 	// scenarios; they aggregate into Campaign.CacheErr.
 	Cache Cache
-	// Progress, when set, is called once per finalized scenario (from
-	// worker goroutines, serialized by the engine, without holding the
-	// engine lock — calling back into the engine is safe). Completion
-	// order is nondeterministic; only emitter output is ordered.
-	Progress func(done, total int, r Result)
 
 	mu    sync.Mutex
 	cache map[string]Metrics // scenario ID -> successful metrics
-
-	progressMu sync.Mutex // serializes Progress callbacks
 }
 
-// run is the per-campaign state: its own done counter, so two
+// run is the per-campaign progress state: its own done counter, so two
 // campaigns running concurrently on one engine (as sweepd does across
-// expand requests) report independent Progress(done, total) counts,
-// plus the campaign's own progress hook (RunScenariosContextProgress),
-// which lets concurrent campaigns on a shared engine stream their
-// completions to different consumers.
+// expand requests) report independent (done, total) counts to their
+// own hooks.
 type run struct {
 	mu       sync.Mutex
 	done     int
@@ -203,41 +183,21 @@ func (e *Engine) CacheSize() int {
 	return len(e.cache)
 }
 
-// Run expands the grid and executes it.
-func (e *Engine) Run(g Grid, run Runner) Campaign {
-	return e.RunContext(context.Background(), g, IgnoreContext(run))
-}
-
-// RunContext expands the grid and executes it under ctx: cancellation
-// stops scheduling cold cells (see RunScenariosContext).
-func (e *Engine) RunContext(ctx context.Context, g Grid, run RunnerContext) Campaign {
-	return e.RunScenariosContext(ctx, g.Expand(), run)
-}
-
-// RunScenarios executes an explicit scenario list without a
-// cancellation point (context.Background); see RunScenariosContext.
-func (e *Engine) RunScenarios(scenarios []Scenario, run Runner) Campaign {
-	return e.RunScenariosContext(context.Background(), scenarios, IgnoreContext(run))
-}
-
-// RunScenariosContextProgress is RunScenariosContext with a
-// per-campaign progress hook: progress is called once per finalized
-// scenario (serialized, after the engine-level Progress callback, with
-// the same no-engine-lock guarantee). Two campaigns sharing one engine
-// — sweepd serving concurrent expand requests — can each stream their
-// completions to their own response without racing on the engine-level
-// Progress field.
-func (e *Engine) RunScenariosContextProgress(ctx context.Context, scenarios []Scenario, runner RunnerContext, progress func(done, total int, r Result)) Campaign {
-	return e.runScenarios(ctx, scenarios, runner, progress)
-}
-
-// RunScenariosContext executes an explicit scenario list. Scenarios
-// run concurrently (bounded by Workers) but the returned results are
-// in input order. A scenario whose config hash was already executed —
-// in this campaign, a previous one on the same engine, or (when Cache
-// is set) any prior process that wrote the persistent store — is
-// served from cache; a scenario that fails is reported in its Result
-// without aborting the rest.
+// RunScenariosContextProgress executes a scenario list — typically
+// Grid.Expand() — and is the engine's one entry point. Scenarios run
+// concurrently (bounded by Workers) but the returned results are in
+// input order. A scenario whose config hash was already executed — in
+// this campaign, a previous one on the same engine, or (when Cache is
+// set) any prior process that wrote the persistent store — is served
+// from cache; a scenario that fails is reported in its Result without
+// aborting the rest.
+//
+// progress, when non-nil, is called once per finalized scenario —
+// cache hits, in-campaign duplicates and never-started cells included.
+// Calls are serialized per campaign and made without holding the
+// engine lock, so a hook may call back into the engine and needs no
+// lock of its own. Completion order is nondeterministic; only the
+// returned results are ordered.
 //
 // Cancelling ctx stops the campaign scheduling new work — at the
 // dispatch loop, at the worker-slot acquire, and between second-tier
@@ -246,19 +206,7 @@ func (e *Engine) RunScenariosContextProgress(ctx context.Context, scenarios []Sc
 // usual), already-finalized results stand, and every never-started
 // scenario carries an error wrapping ErrUnstarted and ctx.Err(). The
 // campaign still contains one finalized Result per input scenario.
-func (e *Engine) RunScenariosContext(ctx context.Context, scenarios []Scenario, runner RunnerContext) Campaign {
-	return e.runScenarios(ctx, scenarios, runner, nil)
-}
-
-func (e *Engine) runScenarios(ctx context.Context, scenarios []Scenario, runner RunnerContext, progress func(done, total int, r Result)) Campaign {
-	if ctx == nil {
-		//lint:allow ctxflow nil-ctx compat defaulting for the context-free Run/RunScenarios forms
-		ctx = context.Background()
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func (e *Engine) RunScenariosContextProgress(ctx context.Context, scenarios []Scenario, runner RunnerContext, progress func(done, total int, r Result)) Campaign {
 	total := len(scenarios)
 	results := make([]Result, total)
 	prog := &run{total: total, progress: progress}
@@ -314,7 +262,7 @@ func (e *Engine) runScenarios(ctx context.Context, scenarios []Scenario, runner 
 		exec = cold
 	}
 	for _, i := range hits {
-		e.progress(prog, results[i])
+		prog.finalize(results[i])
 	}
 
 	var putMu sync.Mutex
@@ -365,11 +313,11 @@ func (e *Engine) runScenarios(ctx context.Context, scenarios []Scenario, runner 
 					putMu.Unlock()
 				}
 			}
-			e.progress(prog, r)
+			prog.finalize(r)
 		}
 		backend := e.Backend
 		if backend == nil {
-			backend = &LocalBackend{Workers: workers, Run: runner}
+			backend = &LocalBackend{Workers: e.Workers, Run: runner}
 		}
 		panicErr := executeSafe(ctx, backend, cold, report)
 		// Finalize anything the backend failed to report: under a
@@ -406,7 +354,7 @@ func (e *Engine) runScenarios(ctx context.Context, scenarios []Scenario, runner 
 		results[i].Metrics = results[j].Metrics
 		results[i].Err = results[j].Err
 		results[i].Cached = true
-		e.progress(prog, results[i])
+		prog.finalize(results[i])
 	}
 	return Campaign{Results: results, CacheErr: errors.Join(putErrs...)}
 }
@@ -419,29 +367,15 @@ func unstartedErr(ctx context.Context, s Scenario, id string) error {
 	return fmt.Errorf("sweep: scenario %s (%s) %w: %w", id, s.Label(), ErrUnstarted, ctx.Err())
 }
 
-// progress finalizes one scenario's done count and fires the Progress
-// callback outside the engine lock (so callbacks may use the engine)
-// but serialized, so terminal output does not interleave — including
-// across concurrent campaigns, whose counts stay independent because
-// the counter lives in per-run state.
-func (e *Engine) progress(p *run, r Result) {
+// finalize counts one finalized scenario and fires the campaign's
+// progress hook under the run lock, so hook calls are serialized and
+// see done counts in increasing order.
+func (p *run) finalize(r Result) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.done++
-	done := p.done
-	p.mu.Unlock()
-	e.mu.Lock()
-	cb := e.Progress
-	e.mu.Unlock()
-	if cb == nil && p.progress == nil {
-		return
-	}
-	e.progressMu.Lock()
-	defer e.progressMu.Unlock()
-	if cb != nil {
-		cb(done, p.total, r)
-	}
 	if p.progress != nil {
-		p.progress(done, p.total, r)
+		p.progress(p.done, p.total, r)
 	}
 }
 
@@ -469,54 +403,20 @@ func runSafe(ctx context.Context, run RunnerContext, s Scenario) (m Metrics, err
 	return run(ctx, s)
 }
 
-// ForEach runs fn(0..n-1) on a bounded worker pool and returns the
-// lowest-index error (deterministic regardless of completion order).
-// It is the shared replacement for the ad-hoc WaitGroup+semaphore
-// loops the experiment drivers used to carry. It is the
-// context-free compatibility form of ForEachContext.
+// ForEach runs fn(0..n-1) on a bounded worker pool (workers <= 0
+// means GOMAXPROCS) and returns the lowest-index error, deterministic
+// regardless of completion order. A panicking task becomes that
+// task's error.
 func ForEach(workers, n int, fn func(int) error) error {
-	return ForEachContext(context.Background(), workers, n, fn)
-}
-
-// ForEachContext is ForEach under a context: cancellation stops
-// scheduling new tasks — running ones complete — and every task that
-// never started reports ctx's error, so the lowest-index-error
-// contract stays deterministic.
-func ForEachContext(ctx context.Context, workers, n int, fn func(int) error) error {
-	if ctx == nil {
-		//lint:allow ctxflow nil-ctx compat defaulting for the context-free ForEach form
-		ctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	errs := make([]error, n)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			errs[i] = fmt.Errorf("sweep: task %d: %w", i, err)
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = fmt.Errorf("sweep: task %d: %w", i, ctx.Err())
-				return
+	pool(context.Background(), workers, n, func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("sweep: task %d panicked: %v", i, r)
 			}
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("sweep: task %d panicked: %v", i, r)
-				}
-			}()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
+		}()
+		errs[i] = fn(i)
+	}, nil)
 	for _, err := range errs {
 		if err != nil {
 			return err

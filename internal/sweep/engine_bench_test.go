@@ -32,7 +32,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		b.Run("workers"+strconv.Itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c := NewEngine(workers).RunScenarios(scenarios, benchRunner)
+				c := runList(NewEngine(workers), scenarios, benchRunner)
 				if err := c.Err(); err != nil {
 					b.Fatal(err)
 				}
@@ -52,13 +52,13 @@ func BenchmarkEngineWarmCampaign(b *testing.B) {
 		scenarios[i] = Scenario{Machine: "m", Ranks: i + 1}
 	}
 	eng := NewEngine(8)
-	if err := eng.RunScenarios(scenarios, benchRunner).Err(); err != nil {
+	if err := runList(eng, scenarios, benchRunner).Err(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := eng.RunScenarios(scenarios, benchRunner)
+		c := runList(eng, scenarios, benchRunner)
 		if err := c.Err(); err != nil {
 			b.Fatal(err)
 		}

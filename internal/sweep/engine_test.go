@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -30,11 +31,26 @@ func echoRunner(s Scenario) (Metrics, error) {
 	return m, nil
 }
 
+// echoRunnerContext is echoRunner in the engine's runner form.
+func echoRunnerContext(_ context.Context, s Scenario) (Metrics, error) { return echoRunner(s) }
+
+// runGrid executes g's expansion through the engine's entry point
+// with a context-free runner and no progress hook.
+func runGrid(e *Engine, g Grid, run func(Scenario) (Metrics, error)) Campaign {
+	return runList(e, g.Expand(), run)
+}
+
+// runList is runGrid over an explicit scenario list.
+func runList(e *Engine, scenarios []Scenario, run func(Scenario) (Metrics, error)) Campaign {
+	return e.RunScenariosContextProgress(context.Background(), scenarios,
+		func(_ context.Context, s Scenario) (Metrics, error) { return run(s) }, nil)
+}
+
 func TestResultsInGridOrder(t *testing.T) {
 	g := testGrid()
 	want := g.Expand()
 	for _, workers := range []int{1, 4, 16} {
-		c := NewEngine(workers).Run(g, echoRunner)
+		c := runGrid(NewEngine(workers), g, echoRunner)
 		if len(c.Results) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(c.Results), len(want))
 		}
@@ -53,7 +69,7 @@ func TestResultsInGridOrder(t *testing.T) {
 func TestErrorIsolation(t *testing.T) {
 	g := testGrid()
 	boom := errors.New("boom")
-	c := NewEngine(4).Run(g, func(s Scenario) (Metrics, error) {
+	c := runGrid(NewEngine(4), g, func(s Scenario) (Metrics, error) {
 		if s.Machine == "m1" && s.Ranks == 2 {
 			return nil, boom
 		}
@@ -88,7 +104,7 @@ func TestErrorIsolation(t *testing.T) {
 
 func TestPanicIsolation(t *testing.T) {
 	g := Grid{Machines: []string{"ok", "bad"}}
-	c := NewEngine(2).Run(g, func(s Scenario) (Metrics, error) {
+	c := runGrid(NewEngine(2), g, func(s Scenario) (Metrics, error) {
 		if s.Machine == "bad" {
 			panic("kaboom")
 		}
@@ -110,7 +126,7 @@ func TestCacheHitsViaRunCounter(t *testing.T) {
 		return echoRunner(s)
 	}
 	e := NewEngine(4)
-	c1 := e.Run(g, counting)
+	c1 := runGrid(e, g, counting)
 	if got := runs.Load(); got != 12 {
 		t.Fatalf("first campaign executed %d scenarios, want 12", got)
 	}
@@ -118,7 +134,7 @@ func TestCacheHitsViaRunCounter(t *testing.T) {
 		t.Fatalf("cache holds %d results, want 12", e.CacheSize())
 	}
 	// Same grid again: every scenario hash hits the cache.
-	c2 := e.Run(g, counting)
+	c2 := runGrid(e, g, counting)
 	if got := runs.Load(); got != 12 {
 		t.Errorf("second campaign re-executed scenarios: counter %d, want 12", got)
 	}
@@ -131,7 +147,7 @@ func TestCacheHitsViaRunCounter(t *testing.T) {
 		}
 	}
 	// A fresh scenario still executes.
-	e.Run(Grid{Machines: []string{"new"}}, counting)
+	runGrid(e, Grid{Machines: []string{"new"}}, counting)
 	if got := runs.Load(); got != 13 {
 		t.Errorf("novel scenario should execute once, counter %d, want 13", got)
 	}
@@ -140,7 +156,7 @@ func TestCacheHitsViaRunCounter(t *testing.T) {
 func TestDuplicateScenariosDedupWithinCampaign(t *testing.T) {
 	s := Scenario{Machine: "m", Ranks: 4}
 	var runs atomic.Int64
-	c := NewEngine(4).RunScenarios([]Scenario{s, s, s}, func(Scenario) (Metrics, error) {
+	c := runList(NewEngine(4), []Scenario{s, s, s}, func(Scenario) (Metrics, error) {
 		runs.Add(1)
 		var m Metrics
 		m.Add("v", 1)
@@ -172,10 +188,10 @@ func TestFailedScenariosAreNotCached(t *testing.T) {
 		return Metrics{{"v", 2}}, nil
 	}
 	e := NewEngine(1)
-	if err := e.Run(g, runner).Err(); err == nil {
+	if err := runGrid(e, g, runner).Err(); err == nil {
 		t.Fatal("first campaign should fail")
 	}
-	c := e.Run(g, runner) // retry re-executes instead of caching the error
+	c := runGrid(e, g, runner) // retry re-executes instead of caching the error
 	if err := c.Err(); err != nil {
 		t.Fatalf("retry did not re-execute: %v", err)
 	}
@@ -185,19 +201,17 @@ func TestFailedScenariosAreNotCached(t *testing.T) {
 }
 
 func TestProgressCallback(t *testing.T) {
-	g := testGrid()
 	var calls atomic.Int64
 	e := NewEngine(4)
-	e.Progress = func(done, total int, r Result) {
+	e.RunScenariosContextProgress(context.Background(), testGrid().Expand(), echoRunnerContext, func(done, total int, r Result) {
 		calls.Add(1)
 		if total != 12 || done < 1 || done > 12 {
 			t.Errorf("bad progress counters done=%d total=%d", done, total)
 		}
 		// Callbacks run without the engine lock: using the engine from
-		// inside Progress must not deadlock.
+		// inside the hook must not deadlock.
 		_ = e.CacheSize()
-	}
-	e.Run(g, echoRunner)
+	})
 	if calls.Load() != 12 {
 		t.Errorf("progress fired %d times, want 12", calls.Load())
 	}
@@ -229,5 +243,38 @@ func TestForEach(t *testing.T) {
 	// Panics become errors.
 	if err := ForEach(2, 2, func(i int) error { panic("eek") }); err == nil {
 		t.Error("panic not surfaced")
+	}
+}
+
+// TestRunScenariosContextProgress: the per-campaign hook fires once
+// per scenario, serialized, with the per-run done counter.
+func TestRunScenariosContextProgress(t *testing.T) {
+	eng := NewEngine(3)
+	var runCalls int
+	scenarios := testGrid().Expand()
+	seen := map[string]int{}
+	var last int
+	c := eng.RunScenariosContextProgress(context.Background(), scenarios, echoRunnerContext,
+		func(done, total int, r Result) {
+			runCalls++
+			seen[r.ID]++
+			if total != len(scenarios) {
+				t.Errorf("total = %d, want %d", total, len(scenarios))
+			}
+			if done != last+1 {
+				t.Errorf("done jumped %d -> %d; progress must be serialized", last, done)
+			}
+			last = done
+		})
+	if len(c.Results) != len(scenarios) {
+		t.Fatalf("%d results", len(c.Results))
+	}
+	if runCalls != len(scenarios) {
+		t.Errorf("per-run hook fired %d times, want %d", runCalls, len(scenarios))
+	}
+	for _, s := range scenarios {
+		if seen[s.ID()] == 0 {
+			t.Errorf("scenario %s never reached the per-run hook", s.ID())
+		}
 	}
 }

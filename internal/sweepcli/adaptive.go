@@ -73,6 +73,7 @@ func runAdaptive(ctx context.Context, a adaptiveRun) int {
 		return usage(a.stderr, err)
 	}
 
+	var hooks []func(done, total int, r sweep.Result)
 	if !a.quiet {
 		tracks := len(grid.Machines) * len(grid.Workloads)
 		if n := len(grid.Modes); n > 0 {
@@ -81,20 +82,19 @@ func runAdaptive(ctx context.Context, a adaptiveRun) int {
 		fmt.Fprintf(a.stdout, "sweep: adaptive %s search, target %s, %s\n", axis, target, a.workersDesc)
 		fmt.Fprintf(a.stdout, "sweep: %d tracks (%d machines x %d workloads), tol %d, max %d rounds\n",
 			tracks, len(grid.Machines), len(grid.Workloads), plan.Tol, plan.MaxRounds)
-		a.eng.Progress = func(done, total int, r sweep.Result) {
+		hooks = append(hooks, func(done, total int, r sweep.Result) {
 			fmt.Fprintln(a.stdout, sweep.ProgressLine(done, total, r))
-		}
+		})
 	}
-	var perRun func(done, total int, r sweep.Result)
 	if a.liveProgress {
 		// The live counter resets per wave: each refinement round is
 		// its own engine campaign.
-		perRun = func(done, total int, r sweep.Result) {
+		hooks = append(hooks, func(done, total int, r sweep.Result) {
 			fmt.Fprintf(a.stderr, "\rsweep: wave: %d/%d probes complete", done, total)
-		}
+		})
 	}
 
-	outcome, searchErr := plan.Run(ctx, a.eng, a.runner, perRun)
+	outcome, searchErr := plan.Run(ctx, a.eng, a.runner, chain(hooks))
 	if a.liveProgress {
 		fmt.Fprintln(a.stderr)
 	}

@@ -62,18 +62,12 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 	return MainWithRunnerContext(ctx, argv, stdout, stderr, cloversim.RunScenarioContext)
 }
 
-// MainWithRunner is Main with an injectable scenario runner — the seam
-// the e2e harness uses to prove a warm store performs zero simulation
-// work. No signal handling is installed; the campaign is
-// uncancellable.
-func MainWithRunner(argv []string, stdout, stderr io.Writer, runner sweep.Runner) int {
-	return MainWithRunnerContext(context.Background(), argv, stdout, stderr, sweep.IgnoreContext(runner))
-}
-
-// MainWithRunnerContext is the CLI core: campaign execution runs
-// under ctx, so cancelling it interrupts the sweep (exit code
-// ExitInterrupted, partial results emitted and persisted). Main wires
-// ctx to SIGINT/SIGTERM; tests drive cancellation directly.
+// MainWithRunnerContext is the CLI core with an injectable scenario
+// runner — the seam the e2e harness uses to prove a warm store
+// performs zero simulation work. Campaign execution runs under ctx, so
+// cancelling it interrupts the sweep (exit code ExitInterrupted,
+// partial results emitted and persisted). Main wires ctx to
+// SIGINT/SIGTERM; tests drive cancellation directly.
 func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io.Writer, runner sweep.RunnerContext) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -92,7 +86,6 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		plot      = fs.String("plot", "store_ratio", "metric for the ASCII summary chart (empty = first metric)")
 		quiet     = fs.Bool("q", false, "suppress per-scenario progress and the result table")
 		progress  = fs.Bool("progress", false, "live completion counter on stderr, updated as each scenario finishes (combines with -q for quiet-but-visible campaigns)")
-		stream    = fs.Bool("stream", false, "write campaign.csv and campaign.json incrementally as results complete, holding only out-of-order completions in memory; final bytes are identical to the buffered default")
 		compact   = fs.Bool("store-compact", false, "compact the -store directory (merge all segments into one, dropping stale and corrupt lines) and exit without running a campaign; requires exclusive ownership of the store")
 		adaptive  = fs.String("adaptive", "", "adaptive frontier search along this numeric axis (ranks, threads or mesh) instead of the exhaustive cross product; needs -target and at least two axis values as the bracketing seeds")
 		target    = fs.String("target", "", "frontier predicate for -adaptive: delta:<metric>:<modeA>/<modeB>, lt:<metric>:<value>, gt:<metric>:<value>, or model:<metric>:<analytic-metric>:<reltol>")
@@ -212,9 +205,6 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		if *target == "" {
 			return usage(stderr, errors.New("-adaptive requires -target"))
 		}
-		if *stream {
-			return usage(stderr, errors.New("-stream applies to exhaustive campaigns; -adaptive has its own frontier emitters"))
-		}
 		code := runAdaptive(ctx, adaptiveRun{
 			grid: grid, axis: *adaptive, target: *target,
 			tol: *tol, maxRounds: *maxRounds,
@@ -226,26 +216,17 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 		})
 		return code
 	}
+	// Per-campaign hooks ride the engine's serialized progress funnel,
+	// which fires exactly once per scenario — warm hits, in-campaign
+	// duplicates and never-started cells included.
+	var hooks []func(done, total int, r sweep.Result)
 	if !*quiet {
 		fmt.Fprintf(stdout, "sweep: %d scenarios (%d machines x %d workloads x %d modes), %s\n",
 			grid.Size(), len(grid.Machines), len(grid.Workloads), len(grid.Modes), workersDesc)
-		eng.Progress = func(done, total int, r sweep.Result) {
+		hooks = append(hooks, func(done, total int, r sweep.Result) {
 			fmt.Fprintln(stdout, sweep.ProgressLine(done, total, r))
-		}
+		})
 	}
-
-	// Per-campaign hooks (the live counter, the incremental emitters)
-	// ride the engine's serialized progress funnel, which fires exactly
-	// once per scenario — warm hits, in-campaign duplicates and
-	// never-started cells included — so the stream emitters always see
-	// a complete campaign.
-	scenarios := grid.Expand()
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		return runtimeErr(stderr, err)
-	}
-	csvPath := filepath.Join(*out, "campaign.csv")
-	jsonPath := filepath.Join(*out, "campaign.json")
-	var hooks []func(done, total int, r sweep.Result)
 	if *progress {
 		// One carriage-returned line on stderr: stdout keeps its
 		// byte-stable contract, and -q campaigns stay observable.
@@ -257,80 +238,20 @@ func MainWithRunnerContext(ctx context.Context, argv []string, stdout, stderr io
 			fmt.Fprintf(stderr, "\rsweep: %d/%d scenarios complete (%d failed)", done, total, failed)
 		})
 	}
-	var streamErr error
-	var streamClose func() error
-	if *stream {
-		// Incremental artifacts: rows spill to disk in grid order as
-		// results finalize, the files assemble at Close, and the final
-		// bytes match the buffered emitters exactly. Memory holds only
-		// completions that arrived ahead of a still-running cell.
-		csvFile, err := os.Create(csvPath)
-		if err != nil {
-			return runtimeErr(stderr, err)
-		}
-		cs, err := sweep.NewCSVStream(csvFile, scenarios)
-		if err != nil {
-			csvFile.Close()
-			return runtimeErr(stderr, err)
-		}
-		jsonFile, err := os.Create(jsonPath)
-		if err != nil {
-			cs.Close()
-			csvFile.Close()
-			return runtimeErr(stderr, err)
-		}
-		js, err := sweep.NewJSONStream(jsonFile, scenarios, true)
-		if err != nil {
-			cs.Close()
-			csvFile.Close()
-			jsonFile.Close()
-			return runtimeErr(stderr, err)
-		}
-		hooks = append(hooks, func(done, total int, r sweep.Result) {
-			if streamErr != nil {
-				return
-			}
-			if err := cs.Add(r); err != nil {
-				streamErr = err
-				return
-			}
-			if err := js.Add(r); err != nil {
-				streamErr = err
-			}
-		})
-		streamClose = func() error {
-			errs := streamErr
-			for _, close := range []func() error{cs.Close, csvFile.Close, js.Close, jsonFile.Close} {
-				if err := close(); err != nil {
-					errs = errors.Join(errs, err)
-				}
-			}
-			return errs
-		}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return runtimeErr(stderr, err)
 	}
-	var perRun func(done, total int, r sweep.Result)
-	if len(hooks) > 0 {
-		perRun = func(done, total int, r sweep.Result) {
-			for _, h := range hooks {
-				h(done, total, r)
-			}
-		}
-	}
-	c := eng.RunScenariosContextProgress(ctx, scenarios, runner, perRun)
+	csvPath := filepath.Join(*out, "campaign.csv")
+	jsonPath := filepath.Join(*out, "campaign.json")
+	c := eng.RunScenariosContextProgress(ctx, grid.Expand(), runner, chain(hooks))
 	if *progress {
 		fmt.Fprintln(stderr) // terminate the carriage-returned line
 	}
-	if streamClose != nil {
-		if err := streamClose(); err != nil {
-			return runtimeErr(stderr, err)
-		}
-	} else {
-		if err := emitFile(csvPath, sweep.CSVEmitter{}, c); err != nil {
-			return runtimeErr(stderr, err)
-		}
-		if err := emitFile(jsonPath, sweep.JSONEmitter{Indent: true}, c); err != nil {
-			return runtimeErr(stderr, err)
-		}
+	if err := emitFile(csvPath, sweep.CSVEmitter{}, c); err != nil {
+		return runtimeErr(stderr, err)
+	}
+	if err := emitFile(jsonPath, sweep.JSONEmitter{Indent: true}, c); err != nil {
+		return runtimeErr(stderr, err)
 	}
 
 	if !*quiet {
@@ -446,6 +367,19 @@ func intList(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
+}
+
+// chain combines progress hooks into one, called in order; nil when
+// there are none.
+func chain(hooks []func(done, total int, r sweep.Result)) func(done, total int, r sweep.Result) {
+	if len(hooks) == 0 {
+		return nil
+	}
+	return func(done, total int, r sweep.Result) {
+		for _, h := range hooks {
+			h(done, total, r)
+		}
+	}
 }
 
 func emitFile(path string, e sweep.Emitter, c sweep.Campaign) error {

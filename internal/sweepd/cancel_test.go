@@ -193,6 +193,46 @@ func TestExpandTimeout(t *testing.T) {
 	}
 }
 
+// TestExpandExplicitTimeoutReportsUnstarted: an explicit-form expand
+// cut short by the server deadline still completes its stream: the
+// cells it never started come back Unstarted (re-dispatchable), not
+// failed, and the client sees no worker-level error.
+func TestExpandExplicitTimeoutReportsUnstarted(t *testing.T) {
+	var sims atomic.Int64
+	runner := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
+		sims.Add(1)
+		time.Sleep(10 * time.Millisecond)
+		return syntheticMetrics(s), nil
+	}
+	srv := New(execStore(t), runner, 1)
+	srv.ExpandTimeout = 60 * time.Millisecond
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	scs := execScenarios(30)
+	res, err := NewClient(ts.URL).ExecuteScenariosStream(context.Background(), scs, nil)
+	if err != nil {
+		t.Fatalf("a deadline-cut expand is a complete stream, not a worker error: %v", err)
+	}
+	var ok, unstarted int
+	for i, r := range res {
+		switch {
+		case r.Err == nil:
+			ok++
+		case r.Unstarted && strings.Contains(r.Err.Error(), sweep.ErrUnstarted.Error()):
+			unstarted++
+		default:
+			t.Errorf("cell %d failed outright: %v", i, r.Err)
+		}
+	}
+	if unstarted == 0 || ok+unstarted != len(scs) {
+		t.Errorf("%d ok and %d unstarted of %d cells, want a deadline cut with every other cell unstarted", ok, unstarted, len(scs))
+	}
+	if int(sims.Load()) != ok {
+		t.Errorf("%d simulations for %d completed cells", sims.Load(), ok)
+	}
+}
+
 // TestExpandStarvedCellsReportUnstarted: a request whose cells spend
 // their whole life waiting on the global semaphore (another expand
 // holds the only slot) must report them as unstarted when its deadline

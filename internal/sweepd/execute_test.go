@@ -1,11 +1,14 @@
 package sweepd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -38,8 +41,8 @@ func execScenarios(n int) []sweep.Scenario {
 }
 
 // TestExpandExplicitScenarios: the explicit form executes cells the
-// worker has never seen, responds with bit-exact metrics in request
-// order, writes through to the store, and serves repeats warm.
+// worker has never seen, returns bit-exact metrics in request order,
+// writes through to the store, and serves repeats warm.
 func TestExpandExplicitScenarios(t *testing.T) {
 	var sims atomic.Int64
 	runner := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
@@ -54,7 +57,7 @@ func TestExpandExplicitScenarios(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	scs := execScenarios(4)
-	res, err := c.ExecuteScenarios(context.Background(), scs)
+	res, err := c.ExecuteScenariosStream(context.Background(), scs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestExpandExplicitScenarios(t *testing.T) {
 	}
 
 	// Warm repeat: served from the store, zero new simulations.
-	if _, err := c.ExecuteScenarios(context.Background(), scs); err != nil {
+	if _, err := c.ExecuteScenariosStream(context.Background(), scs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if sims.Load() != 4 {
@@ -105,7 +108,7 @@ func TestExpandExplicitNaNMetrics(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), runner, 2).Handler())
 	t.Cleanup(ts.Close)
 
-	res, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), execScenarios(1))
+	res, err := NewClient(ts.URL).ExecuteScenariosStream(context.Background(), execScenarios(1), nil)
 	if err != nil {
 		t.Fatalf("NaN metrics broke the batch: %v", err)
 	}
@@ -138,7 +141,7 @@ func TestExpandExplicitPerCellFailure(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), runner, 2).Handler())
 	t.Cleanup(ts.Close)
 
-	res, err := NewClient(ts.URL).ExecuteScenarios(context.Background(), execScenarios(3))
+	res, err := NewClient(ts.URL).ExecuteScenariosStream(context.Background(), execScenarios(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +213,7 @@ func TestHealthzCapacityAndInflight(t *testing.T) {
 	// Park one expand in the runner and observe it in healthz.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.ExecuteScenarios(context.Background(), execScenarios(1))
+		_, err := c.ExecuteScenariosStream(context.Background(), execScenarios(1), nil)
 		done <- err
 	}()
 	select {
@@ -257,5 +260,70 @@ func TestExplicitSpecJSONShape(t *testing.T) {
 	want := fmt.Sprintf(`{"scenarios":[%q]}`, key)
 	if string(buf) != want {
 		t.Errorf("explicit spec encodes as %s, want %s", buf, want)
+	}
+}
+
+// TestExpandExplicitAlwaysStreams: the explicit form is NDJSON-only,
+// whatever the Accept header asks for, while a grid expand without an
+// Accept header keeps its campaign JSON default.
+func TestExpandExplicitAlwaysStreams(t *testing.T) {
+	ts := httptest.NewServer(New(execStore(t), func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
+		return sweep.Metrics{{Name: "v", Value: float64(s.Ranks)}}, nil
+	}, 2).Handler())
+	t.Cleanup(ts.Close)
+	post := func(spec GridSpec, accept string) (string, []byte) {
+		t.Helper()
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/expand", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("Accept %q: status %d: %s", accept, resp.StatusCode, out)
+		}
+		return resp.Header.Get("Content-Type"), out
+	}
+
+	explicit := GridSpec{Scenarios: []string{execScenarios(1)[0].Key()}}
+	for _, accept := range []string{"", "*/*", "application/json"} {
+		ct, out := post(explicit, accept)
+		if ct != "application/x-ndjson" {
+			t.Errorf("explicit expand with Accept %q answered %q, want application/x-ndjson", accept, ct)
+		}
+		if !bytes.HasPrefix(out, []byte(`{"stream":`)) {
+			t.Errorf("explicit expand with Accept %q: body does not open with a stream header frame:\n%s", accept, out)
+		}
+	}
+
+	grid := GridSpec{Machines: []string{"icx"}, Workloads: []string{"stream"},
+		Modes: []string{"baseline"}, Ranks: []int{1, 2}, Threads: []int{8}, Seed: 5}
+	ct, out := post(grid, "")
+	if ct != "application/json" {
+		t.Errorf("grid expand without Accept answered %q, want application/json", ct)
+	}
+	var doc struct {
+		Scenarios int               `json:"scenarios"`
+		Results   []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatalf("grid expand body is not campaign JSON: %v\n%s", err, out)
+	}
+	if doc.Scenarios != 2 || len(doc.Results) != 2 {
+		t.Errorf("grid expand campaign has %d scenarios and %d results, want 2 and 2", doc.Scenarios, len(doc.Results))
 	}
 }

@@ -17,26 +17,27 @@
 // An expand body is either a grid (axes by name, the cross product is
 // executed) or an explicit scenario list (canonical scenario keys, the
 // dispatch protocol's form — the worker executes cells it has never
-// seen). The grid form responds with the exact campaign JSON format
-// cmd/sweep writes to campaign.json, so clients can treat the daemon
-// as a remote sweep; the explicit form responds with a typed result
-// list carrying bit-exact IEEE-754 metric bits, so a dispatcher can
-// merge fleet results into a byte-identical campaign.
+// seen). By default the grid form responds with the exact campaign
+// JSON format cmd/sweep writes to campaign.json, so clients can treat
+// the daemon as a remote sweep; a partial campaign is flagged with an
+// X-Expand-Incomplete header and a durability loss with X-Store-Error.
 //
-// Expand additionally has a streaming mode, negotiated with
-// "Accept: application/x-ndjson": the response is NDJSON — one JSON
-// object per line — emitting each cell's result (same exact-bits
-// encoding as the buffered explicit form) the moment it finalizes,
-// framed as a tagged union:
+// The explicit form always responds with an NDJSON stream, whatever
+// the Accept header says; the grid form does too when asked with
+// "Accept: application/x-ndjson". The stream carries one JSON object
+// per line, emitting each cell's result the moment it finalizes with
+// its metrics as bit-exact IEEE-754 bits (so a dispatcher can merge
+// fleet results into a byte-identical campaign), framed as a tagged
+// union:
 //
 //	{"stream":{...}}    first line: physics + scenario count
 //	{"result":{...}}    one per cell, completion order
 //	{"summary":{...}}   last line: counts + incomplete/store status
 //
-// Because headers leave with the first flushed frame, the
-// X-Expand-Incomplete / X-Store-Error signals of the buffered mode
-// ride in the terminal summary frame instead. A stream that ends
-// without a summary line was truncated and must not be trusted.
+// Because headers leave with the first flushed frame, the incomplete
+// and store-error signals ride in the terminal summary frame instead.
+// A stream that ends without a summary line was truncated and must not
+// be trusted.
 //
 // Healthz reports the daemon's simulation capacity (worker slots), the
 // number of in-flight expand requests, and the physics version, so a
@@ -49,8 +50,9 @@
 // grid's remaining cold cells and releases its global simulation
 // slots immediately; cells already simulating complete and are
 // written through, cells never started come back as errors wrapping
-// sweep.ErrUnstarted. The store is synced before a 200 response, so
-// results the client has been told about survive a daemon crash.
+// sweep.ErrUnstarted. The store is synced before a campaign JSON
+// response and before a stream's summary frame, so results the client
+// has been acknowledged survive a daemon crash.
 package sweepd
 
 import (
@@ -58,7 +60,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
@@ -105,9 +106,9 @@ var _ ResultStore = (*store.Store)(nil)
 type Server struct {
 	// ExpandTimeout, when positive, bounds each expand request: the
 	// campaign context expires after this long, unstarted cells come
-	// back as errors, and the partial response is flagged with an
-	// X-Expand-Incomplete header. Zero means no server-side deadline
-	// (client disconnect still cancels).
+	// back as errors, and the partial response is flagged incomplete
+	// (X-Expand-Incomplete header, or the stream summary). Zero means
+	// no server-side deadline (client disconnect still cancels).
 	ExpandTimeout time.Duration
 	// ErrorLog receives response-write failures (broken pipes, encode
 	// bugs) that cannot reach the client anymore. Nil means
@@ -250,8 +251,8 @@ type jsonMetric struct {
 }
 
 // toJSONMetrics renders metrics in the shared wire form used by both
-// /v1/results and the explicit-expand response, so the two surfaces
-// cannot drift.
+// /v1/results and the expand stream's result frames, so the two
+// surfaces cannot drift.
 func toJSONMetrics(ms sweep.Metrics) []jsonMetric {
 	out := make([]jsonMetric, 0, len(ms))
 	for _, m := range ms {
@@ -382,11 +383,11 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.ExpandTimeout)
 		defer cancel()
 	}
-	if acceptsNDJSON(r.Header.Get("Accept")) {
+	if explicit || acceptsNDJSON(r.Header.Get("Accept")) {
 		s.expandStream(w, ctx, scenarios)
 		return
 	}
-	c := s.eng.RunScenariosContext(ctx, scenarios, s.runner)
+	c := s.eng.RunScenariosContextProgress(ctx, scenarios, s.runner, nil)
 	storeErr := s.persist(c)
 	w.Header().Set("Content-Type", "application/json")
 	if storeErr != nil {
@@ -397,29 +398,31 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		s.logf("sweepd: POST /v1/expand: store: %v", storeErr)
 		w.Header().Set("X-Store-Error", "store writes failed; results not persisted")
 	}
-	if c.Interrupted() {
+	if reason := incomplete(ctx, c); reason != "" {
 		// Cancelled mid-grid (deadline hit, or client gone — then
 		// nobody reads this): the body is a partial campaign whose
 		// unstarted cells carry errors. Flag it so clients distinguish
-		// "incomplete" from "simulation failed". Keyed on the campaign,
-		// not ctx.Err(): a deadline that fires after the last cell
-		// finalized did not cost the client anything.
-		reason := "campaign cancelled"
-		if err := ctx.Err(); err != nil {
-			reason = err.Error()
-		}
+		// "incomplete" from "simulation failed".
 		w.Header().Set("X-Expand-Incomplete", reason)
 	}
 	w.WriteHeader(http.StatusOK)
-	if explicit {
-		if err := encodeExecuteResponse(w, s.st.Physics(), c); err != nil {
-			s.logf("sweepd: POST /v1/expand: writing results: %v", err)
-		}
-		return
-	}
 	if err := (sweep.JSONEmitter{Indent: true}).Emit(w, c); err != nil {
 		s.logf("sweepd: POST /v1/expand: writing campaign: %v", err)
 	}
+}
+
+// incomplete names why a campaign was cut short, or "" when every cell
+// ran. It is keyed on the campaign, not ctx.Err(): a deadline that
+// fires after the last cell finalized did not cost the client
+// anything.
+func incomplete(ctx context.Context, c sweep.Campaign) string {
+	if !c.Interrupted() {
+		return ""
+	}
+	if err := ctx.Err(); err != nil {
+		return err.Error()
+	}
+	return "campaign cancelled"
 }
 
 // persist enforces durability before acknowledgement: a response
@@ -458,10 +461,10 @@ func (s *Server) persist(c sweep.Campaign) error {
 	return storeErr
 }
 
-// acceptsNDJSON reports whether an Accept header asks for the
-// streaming expand response. Deliberately an exact media-type match
-// per comma-separated entry: */* or application/* keep the buffered
-// default — streaming is opt-in, never inferred.
+// acceptsNDJSON reports whether an Accept header asks for a streaming
+// grid expand. Deliberately an exact media-type match per
+// comma-separated entry: */* or application/* keep the grid form's
+// campaign JSON default — streaming a grid is opt-in, never inferred.
 func acceptsNDJSON(accept string) bool {
 	for _, part := range strings.Split(accept, ",") {
 		mt, _, _ := strings.Cut(part, ";")
@@ -488,9 +491,9 @@ type streamHeader struct {
 	Scenarios int    `json:"scenarios"`
 }
 
-// streamSummary closes the stream. It carries what the buffered mode
-// puts in headers — headers left with the first flushed frame, so
-// completion and durability status can only ride here. ok + failed +
+// streamSummary closes the stream. It carries what a campaign JSON
+// response puts in headers — headers left with the first flushed
+// frame, so completion and durability status can only ride here. ok + failed +
 // unstarted == scenarios; unstarted cells (cancelled before they ran)
 // are not failures. Incomplete and StoreError mirror the
 // X-Expand-Incomplete and X-Store-Error header values.
@@ -505,10 +508,10 @@ type streamSummary struct {
 
 // expandStream serves one expand as NDJSON frames, emitting each cell
 // the moment the engine finalizes it. Results stream before the
-// durability repair can run, so — unlike the buffered mode — a frame
+// durability repair can run, so — unlike a campaign JSON response — a frame
 // is not an acknowledgement of persistence; the summary's store_error
-// is. The engine serializes progress callbacks, so writeFrame needs no
-// lock of its own.
+// is. The engine serializes a campaign's progress callbacks, so
+// writeFrame needs no lock of its own.
 func (s *Server) expandStream(w http.ResponseWriter, ctx context.Context, scenarios []sweep.Scenario) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -527,7 +530,7 @@ func (s *Server) expandStream(w http.ResponseWriter, ctx context.Context, scenar
 			// Flush per frame: the point of the stream is that the
 			// client sees a cell the moment it completes, not when the
 			// buffer happens to fill. A writer without flush support
-			// (plain buffered proxy) still gets correct bytes.
+			// (a proxy that holds the body back) still gets correct bytes.
 			if ferr := rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
 				err = ferr
 			}
@@ -558,16 +561,7 @@ func (s *Server) expandStream(w http.ResponseWriter, ctx context.Context, scenar
 			sum.Failed++
 		}
 	}
-	if c.Interrupted() {
-		// Same keying as the buffered mode's X-Expand-Incomplete: on
-		// the campaign, not ctx.Err() — a deadline that fires after the
-		// last cell finalized did not cost the client anything.
-		reason := "campaign cancelled"
-		if err := ctx.Err(); err != nil {
-			reason = err.Error()
-		}
-		sum.Incomplete = reason
-	}
+	sum.Incomplete = incomplete(ctx, c)
 	if storeErr != nil {
 		s.logf("sweepd: POST /v1/expand: store: %v", storeErr)
 		sum.StoreError = "store writes failed; results not persisted"
@@ -578,16 +572,11 @@ func (s *Server) expandStream(w http.ResponseWriter, ctx context.Context, scenar
 	}
 }
 
-// executeResponse is the explicit-form expand response: one result per
-// requested scenario, in request order. Metric values carry their
-// IEEE-754 bits so the dispatcher's merged campaign is bit-exact with
-// a local run; Unstarted distinguishes cells this worker was cancelled
-// out of (re-dispatchable) from genuine simulation failures (final).
-type executeResponse struct {
-	Physics string          `json:"physics"`
-	Results []executeResult `json:"results"`
-}
-
+// executeResult is one cell of a result frame. Metric values carry
+// their IEEE-754 bits so the dispatcher's merged campaign is bit-exact
+// with a local run; Unstarted distinguishes cells this worker was
+// cancelled out of (re-dispatchable) from genuine simulation failures
+// (final).
 type executeResult struct {
 	ID        string       `json:"id"`
 	Key       string       `json:"key"`
@@ -597,8 +586,7 @@ type executeResult struct {
 }
 
 // toExecuteResult renders one finalized cell in the exact-bits wire
-// form — shared by the buffered explicit response and the streaming
-// result frames so the two encodings cannot drift.
+// form.
 func toExecuteResult(res sweep.Result) executeResult {
 	er := executeResult{ID: res.ID, Key: res.Scenario.Key()}
 	if res.Err != nil {
@@ -608,17 +596,4 @@ func toExecuteResult(res sweep.Result) executeResult {
 		er.Metrics = toJSONMetrics(res.Metrics)
 	}
 	return er
-}
-
-func encodeExecuteResponse(w io.Writer, physics string, c sweep.Campaign) error {
-	resp := executeResponse{
-		Physics: physics,
-		Results: make([]executeResult, 0, len(c.Results)),
-	}
-	for _, res := range c.Results {
-		resp.Results = append(resp.Results, toExecuteResult(res))
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(resp)
 }

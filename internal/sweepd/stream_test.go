@@ -30,10 +30,11 @@ func streamTestRunner(_ context.Context, s sweep.Scenario) (sweep.Metrics, error
 	return m, nil
 }
 
-// TestExpandStreamRoundTrip: the NDJSON expand mode must deliver the
-// same results as the buffered mode — one per requested cell (dups
-// included), request-ordered in the returned slice, bit-exact metrics,
-// per-cell errors intact — with onResult firing exactly once per cell.
+// TestExpandStreamRoundTrip: the NDJSON expand must deliver one result
+// per requested cell (dups included), request-ordered in the returned
+// slice, bit-exact metrics (NaN included), per-cell errors intact —
+// with onResult firing exactly once per cell — and a warm repeat served
+// from the store must agree with the cold run bit for bit.
 func TestExpandStreamRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(New(execStore(t), streamTestRunner, 2).Handler())
 	t.Cleanup(ts.Close)
@@ -43,7 +44,7 @@ func TestExpandStreamRoundTrip(t *testing.T) {
 	scs := execScenarios(4)
 	scs = append(scs, scs[0]) // duplicate cell: one frame per requested index
 	var fired atomic.Int64
-	streamed, err := c.ExecuteScenariosStream(context.Background(), scs, func(i int, r ExecResult) {
+	cold, err := c.ExecuteScenariosStream(context.Background(), scs, func(i int, r ExecResult) {
 		fired.Add(1)
 		if want := scs[i].ID(); r.ID != want {
 			t.Errorf("onResult index %d carries %s, want %s", i, r.ID, want)
@@ -55,15 +56,17 @@ func TestExpandStreamRoundTrip(t *testing.T) {
 	if fired.Load() != int64(len(scs)) {
 		t.Errorf("onResult fired %d times for %d cells", fired.Load(), len(scs))
 	}
-	// The warm buffered repeat must agree cell for cell.
-	buffered, err := c.ExecuteScenarios(context.Background(), scs)
+	if v, _ := cold[1].Metrics.Get("odd"); !math.IsNaN(v) {
+		t.Errorf("ranks-2 cell odd = %v, want NaN", v)
+	}
+	warm, err := c.ExecuteScenariosStream(context.Background(), scs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range scs {
-		s, b := streamed[i], buffered[i]
-		if s.ID != b.ID || s.Unstarted != b.Unstarted || (s.Err == nil) != (b.Err == nil) {
-			t.Fatalf("cell %d: stream %+v vs buffered %+v", i, s, b)
+		s, w := cold[i], warm[i]
+		if s.ID != w.ID || s.Unstarted != w.Unstarted || (s.Err == nil) != (w.Err == nil) {
+			t.Fatalf("cell %d: cold %+v vs warm %+v", i, s, w)
 		}
 		if s.Err != nil {
 			if !strings.Contains(s.Err.Error(), "injected failure") {
@@ -71,15 +74,15 @@ func TestExpandStreamRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		if len(s.Metrics) != len(b.Metrics) {
-			t.Fatalf("cell %d: %d streamed metrics vs %d buffered", i, len(s.Metrics), len(b.Metrics))
+		if len(s.Metrics) != len(w.Metrics) {
+			t.Fatalf("cell %d: %d cold metrics vs %d warm", i, len(s.Metrics), len(w.Metrics))
 		}
 		for j := range s.Metrics {
 			sb := math.Float64bits(s.Metrics[j].Value)
-			bb := math.Float64bits(b.Metrics[j].Value)
-			if s.Metrics[j].Name != b.Metrics[j].Name || sb != bb {
-				t.Errorf("cell %d metric %d: stream %s/%016x vs buffered %s/%016x",
-					i, j, s.Metrics[j].Name, sb, b.Metrics[j].Name, bb)
+			wb := math.Float64bits(w.Metrics[j].Value)
+			if s.Metrics[j].Name != w.Metrics[j].Name || sb != wb {
+				t.Errorf("cell %d metric %d: cold %s/%016x vs warm %s/%016x",
+					i, j, s.Metrics[j].Name, sb, w.Metrics[j].Name, wb)
 			}
 		}
 	}
@@ -88,7 +91,7 @@ func TestExpandStreamRoundTrip(t *testing.T) {
 // TestExpandStreamIncremental is the point of the protocol: a cell's
 // frame must arrive while other cells are still simulating. The second
 // cell blocks until the client has SEEN the first cell's result — if
-// the server buffered the response, this deadlocks (and the timeout
+// the server held the response back, this deadlocks (and the timeout
 // fails the test).
 func TestExpandStreamIncremental(t *testing.T) {
 	firstSeen := make(chan struct{})
@@ -116,7 +119,7 @@ func TestExpandStreamIncremental(t *testing.T) {
 		}
 	})
 	if err != nil {
-		t.Fatalf("streaming expand failed (buffered response would deadlock here): %v", err)
+		t.Fatalf("streaming expand failed (a held-back response would deadlock here): %v", err)
 	}
 	for i, r := range res {
 		if r.Err != nil {
@@ -125,28 +128,24 @@ func TestExpandStreamIncremental(t *testing.T) {
 	}
 }
 
-// TestExpandStreamBufferedFallback: a pre-streaming worker ignores the
-// Accept header and answers buffered JSON; the streaming client must
-// detect that by Content-Type and still deliver every cell.
-func TestExpandStreamBufferedFallback(t *testing.T) {
-	inner := New(execStore(t), streamTestRunner, 2).Handler()
+// TestExpandStreamRejectsCampaignJSON: a worker that predates the
+// streaming protocol answers an explicit expand with a JSON body. The
+// client has no fallback: that is a worker-level error naming the
+// problem, with no cell surfaced.
+func TestExpandStreamRejectsCampaignJSON(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Del("Accept") // the old server never saw this header
-		inner.ServeHTTP(w, r)
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `{"physics":%q,"results":[]}`+"\n", execPhysics)
 	}))
 	t.Cleanup(ts.Close)
 
-	scs := execScenarios(3)
 	var fired int
-	res, err := NewClient(ts.URL).ExecuteScenariosStream(context.Background(), scs, func(i int, r ExecResult) { fired++ })
-	if err != nil {
-		t.Fatal(err)
+	_, err := NewClient(ts.URL).ExecuteScenariosStream(context.Background(), execScenarios(2), func(int, ExecResult) { fired++ })
+	if err == nil || !strings.Contains(err.Error(), "not an NDJSON stream") {
+		t.Fatalf("campaign JSON answer: err = %v, want a worker error naming the missing NDJSON stream", err)
 	}
-	if fired != len(scs) {
-		t.Errorf("fallback fired onResult %d times for %d cells", fired, len(scs))
-	}
-	if res[0].Err != nil || res[1].Err != nil || res[2].Err == nil {
-		t.Errorf("fallback results wrong: %+v", res)
+	if fired != 0 {
+		t.Errorf("onResult fired %d times for a rejected answer", fired)
 	}
 }
 
@@ -193,12 +192,16 @@ func TestExpandStreamPhysicsMismatch(t *testing.T) {
 
 // TestClientOversizedResponses is the regression lock for the bounded-
 // read fix: a body over the limit must surface as an explicit
-// oversized-response error on both endpoints, not be silently cut and
-// reported as a misleading parse failure.
+// oversized-response error on both endpoints — a healthz body and an
+// expand error body — not be silently cut and reported as a misleading
+// parse failure.
 func TestClientOversizedResponses(t *testing.T) {
 	huge := strings.Repeat(" ", int(maxHealthzBytes)+1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/v1/expand" {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
 		fmt.Fprintf(w, `{"ok":true,"padding":%q}`, huge)
 	}))
 	t.Cleanup(ts.Close)
@@ -207,11 +210,7 @@ func TestClientOversizedResponses(t *testing.T) {
 	if _, err := c.Healthz(context.Background()); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized healthz error = %v, want explicit limit report", err)
 	}
-
-	old := maxExpandBytes
-	maxExpandBytes = 256
-	t.Cleanup(func() { maxExpandBytes = old })
-	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(1)); err == nil || !strings.Contains(err.Error(), "limit") {
+	if _, err := c.ExecuteScenariosStream(context.Background(), execScenarios(1), nil); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized expand error = %v, want explicit limit report", err)
 	}
 }
@@ -233,10 +232,10 @@ func TestMaxCellsConfigurable(t *testing.T) {
 	if h.MaxCells != 2 {
 		t.Errorf("healthz max_cells = %d, want 2", h.MaxCells)
 	}
-	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(3)); err == nil || !strings.Contains(err.Error(), "limit 2") {
+	if _, err := c.ExecuteScenariosStream(context.Background(), execScenarios(3), nil); err == nil || !strings.Contains(err.Error(), "limit 2") {
 		t.Errorf("3-cell expand against cap 2: err = %v, want limit rejection", err)
 	}
-	if _, err := c.ExecuteScenarios(context.Background(), execScenarios(2)); err != nil {
+	if _, err := c.ExecuteScenariosStream(context.Background(), execScenarios(2), nil); err != nil {
 		t.Errorf("2-cell expand within cap failed: %v", err)
 	}
 }
@@ -310,11 +309,11 @@ func TestHealthzDefaultMaxCells(t *testing.T) {
 	}
 }
 
-// benchExpand measures one warm expand round trip (the store is
-// pre-populated, so the numbers isolate transport + encode/decode, not
-// simulation). ReportAllocs makes the buffered-vs-streaming memory
-// difference visible in B/op.
-func benchExpand(b *testing.B, n int, stream bool) {
+// BenchmarkExpandStreaming measures one warm 512-cell expand round
+// trip (the store is pre-populated, so the numbers isolate transport +
+// encode/decode, not simulation).
+func BenchmarkExpandStreaming(b *testing.B) {
+	const n = 512
 	runner := func(_ context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		var m sweep.Metrics
 		m.Add("v", float64(s.Ranks)/3.0)
@@ -330,19 +329,13 @@ func benchExpand(b *testing.B, n int, stream bool) {
 	b.Cleanup(ts.Close)
 	c := NewClient(ts.URL)
 	scs := execScenarios(n)
-	if _, err := c.ExecuteScenarios(context.Background(), scs); err != nil {
+	if _, err := c.ExecuteScenariosStream(context.Background(), scs, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var res []ExecResult
-		var err error
-		if stream {
-			res, err = c.ExecuteScenariosStream(context.Background(), scs, func(int, ExecResult) {})
-		} else {
-			res, err = c.ExecuteScenarios(context.Background(), scs)
-		}
+		res, err := c.ExecuteScenariosStream(context.Background(), scs, func(int, ExecResult) {})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,6 +344,3 @@ func benchExpand(b *testing.B, n int, stream bool) {
 		}
 	}
 }
-
-func BenchmarkExpandBuffered(b *testing.B)  { benchExpand(b, 512, false) }
-func BenchmarkExpandStreaming(b *testing.B) { benchExpand(b, 512, true) }

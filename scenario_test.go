@@ -29,6 +29,11 @@ func quickGrid() sweep.Grid {
 	}
 }
 
+// runCampaign executes g's expansion on e with no progress hook.
+func runCampaign(e *sweep.Engine, g sweep.Grid, run sweep.RunnerContext) sweep.Campaign {
+	return e.RunScenariosContextProgress(context.Background(), g.Expand(), run, nil)
+}
+
 // TestCampaignDeterministicOutput: same grid + seed must produce
 // byte-identical CSV and JSON regardless of worker count and across
 // repeated runs (run with -cpu 1,4,8 in CI to also vary GOMAXPROCS).
@@ -36,7 +41,7 @@ func TestCampaignDeterministicOutput(t *testing.T) {
 	g := quickGrid()
 	var wantCSV, wantJSON []byte
 	for _, workers := range []int{1, 4, 0, 1} {
-		c := sweep.NewEngine(workers).Run(g, RunScenario)
+		c := runCampaign(sweep.NewEngine(workers), g, RunScenarioContext)
 		if err := c.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +72,7 @@ func TestCampaignDeterministicOutput(t *testing.T) {
 func TestRunScenarioMetrics(t *testing.T) {
 	get := func(s sweep.Scenario, name string) float64 {
 		t.Helper()
-		m, err := RunScenario(s)
+		m, err := RunScenarioContext(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +130,7 @@ func TestRunScenarioContextRefusesDeadContext(t *testing.T) {
 func TestRunScenarioErrorIsolation(t *testing.T) {
 	g := quickGrid()
 	g.Machines = append([]string{"no-such-machine"}, g.Machines...)
-	c := sweep.NewEngine(4).Run(g, RunScenario)
+	c := runCampaign(sweep.NewEngine(4), g, RunScenarioContext)
 	failed := c.Failed()
 	if len(failed) != 2 { // bogus machine x 2 modes
 		t.Fatalf("%d failures, want 2", len(failed))
@@ -146,18 +151,18 @@ func TestRunScenarioErrorIsolation(t *testing.T) {
 // it has already run.
 func TestRunScenarioCaching(t *testing.T) {
 	var runs atomic.Int64
-	counted := func(s sweep.Scenario) (sweep.Metrics, error) {
+	counted := func(ctx context.Context, s sweep.Scenario) (sweep.Metrics, error) {
 		runs.Add(1)
-		return RunScenario(s)
+		return RunScenarioContext(ctx, s)
 	}
 	e := sweep.NewEngine(4)
 	g := quickGrid()
-	e.Run(g, counted)
+	runCampaign(e, g, counted)
 	first := runs.Load()
 	if first != int64(g.Size()) {
 		t.Fatalf("first campaign ran %d, want %d", first, g.Size())
 	}
-	c := e.Run(g, counted)
+	c := runCampaign(e, g, counted)
 	if runs.Load() != first {
 		t.Errorf("repeat campaign re-executed: %d runs", runs.Load())
 	}
