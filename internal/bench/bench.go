@@ -11,6 +11,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"cloversim/internal/core"
@@ -107,8 +108,6 @@ func (r StoreResult) Ratio() float64 {
 }
 
 // RunStore executes the store microbenchmark.
-//
-//lint:allow ctxflow bounded single-scenario kernel; campaign cancellation is scenario-granular at the sweep engine
 func RunStore(o StoreOptions) (StoreResult, error) {
 	if err := checkCores(o.Machine, o.Cores); err != nil {
 		return StoreResult{}, err
@@ -122,51 +121,20 @@ func RunStore(o StoreOptions) (StoreResult, error) {
 	if o.Seed == 0 {
 		o.Seed = 0x57073
 	}
-	spec := o.Machine
-
-	var res StoreResult
-	res.Cores = o.Cores
-	res.Stored = float64(o.Cores) * float64(o.Streams) * float64(o.BytesPerStream)
-
-	groups := groupCores(spec, o.Cores)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g coreGroup) {
-			defer wg.Done()
-			h := memsim.New(spec)
-			h.SetPrefetch(!o.PFOff)
-			e := core.NewStoreEngine(h, spec)
-			e.Seed(o.Seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)
-			nt := make([]bool, o.Streams)
-			for i := range nt {
-				nt[i] = o.NT
-			}
-			e.ConfigureStreams(o.Streams, nt)
-			e.SetContext(core.Context{
-				Pressure:      g.pressure,
-				NodeFraction:  float64(o.Cores) / float64(spec.Cores()),
-				ActiveSockets: spec.ActiveSockets(o.Cores),
-				Class:         machine.ClassPureStore,
-				StoreStreams:  o.Streams,
-				Eligible:      true,
-				PFOn:          !o.PFOff,
-			})
+	res := StoreResult{
+		Cores:  o.Cores,
+		Stored: float64(o.Cores) * float64(o.Streams) * float64(o.BytesPerStream),
+	}
+	nt := slices.Repeat([]bool{o.NT}, o.Streams)
+	res.V = runGroups(o.Machine, o.Cores, o.PFOff, o.Seed, machine.ClassPureStore, nt,
+		func(_ *memsim.Hierarchy, e *core.StoreEngine) {
 			// Independent aligned streams with a generous gap.
 			gap := (o.BytesPerStream + (1 << 20)) &^ 63
 			for s := 0; s < o.Streams; s++ {
 				base := int64(1<<24) + int64(s)*gap
 				e.StoreRange(s, base, o.BytesPerStream)
 			}
-			e.CloseAll()
-			h.Flush()
-			mu.Lock()
-			res.V.Add(volumesOf(h.Counts()), float64(g.count))
-			mu.Unlock()
-		}(g)
-	}
-	wg.Wait()
+		})
 	return res, nil
 }
 
@@ -212,8 +180,6 @@ func (r CopyResult) RWRatio() float64 {
 }
 
 // RunCopy executes the copy benchmark.
-//
-//lint:allow ctxflow bounded single-scenario kernel; campaign cancellation is scenario-granular at the sweep engine
 func RunCopy(o CopyOptions) (CopyResult, error) {
 	if err := checkCores(o.Machine, o.Cores); err != nil {
 		return CopyResult{}, err
@@ -224,38 +190,14 @@ func RunCopy(o CopyOptions) (CopyResult, error) {
 	if o.Seed == 0 {
 		o.Seed = 0xC0B1
 	}
-	spec := o.Machine
 	inner := o.Inner
 	if inner <= 0 {
 		inner = int(o.Elems)
 	}
 
-	var res CopyResult
-	res.Cores = o.Cores
-	res.Iters = float64(o.Cores) * float64(o.Elems)
-
-	groups := groupCores(spec, o.Cores)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g coreGroup) {
-			defer wg.Done()
-			h := memsim.New(spec)
-			h.SetPrefetch(!o.PFOff)
-			e := core.NewStoreEngine(h, spec)
-			e.Seed(o.Seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)
-			e.ConfigureStreams(1, []bool{o.NT})
-			e.SetContext(core.Context{
-				Pressure:      g.pressure,
-				NodeFraction:  float64(o.Cores) / float64(spec.Cores()),
-				ActiveSockets: spec.ActiveSockets(o.Cores),
-				Class:         machine.ClassCopy,
-				StoreStreams:  1,
-				Eligible:      true,
-				PFOn:          !o.PFOff,
-			})
-
+	res := CopyResult{Cores: o.Cores, Iters: float64(o.Cores) * float64(o.Elems)}
+	res.V = runGroups(o.Machine, o.Cores, o.PFOff, o.Seed, machine.ClassCopy, []bool{o.NT},
+		func(h *memsim.Hierarchy, e *core.StoreEngine) {
 			period := int64(inner + o.Halo)
 			aBase := int64(1 << 24)
 			bBase := aBase + (o.Elems*8*2+(1<<20))&^63
@@ -263,27 +205,66 @@ func RunCopy(o CopyOptions) (CopyResult, error) {
 			copied := int64(0)
 			pos := int64(0)
 			for copied < o.Elems {
-				n := int64(inner)
-				if o.Elems-copied < n {
-					n = o.Elems - copied
-				}
-				aAddr := aBase + pos*8
-				bAddr := bBase + pos*8
-				lo := bAddr >> 6
-				h.AccessRange(lo, (bAddr+n*8-1)>>6-lo+1, memsim.AccessLoad)
-				e.StoreRange(0, aAddr, n*8)
+				n := min(int64(inner), o.Elems-copied)
+				lo, lines := lineSpan(bBase+pos*8, n*8)
+				h.AccessRange(lo, lines, memsim.AccessLoad)
+				e.StoreRange(0, aBase+pos*8, n*8)
 				copied += n
 				pos += period
 			}
+		})
+	return res, nil
+}
+
+// runGroups simulates each core group of the first cores on its own
+// hierarchy and store engine and returns the node Volumes, weighted by
+// group size. nt lists the engine's write streams (true for
+// non-temporal); body issues one group's traffic, and its open store
+// lines and dirty cache lines are flushed after it returns. It takes no
+// context: each run is a bounded single-scenario kernel, and campaign
+// cancellation is scenario-granular at the sweep engine.
+func runGroups(spec *machine.Spec, cores int, pfOff bool, seed uint64, class machine.KernelClass,
+	nt []bool, body func(h *memsim.Hierarchy, e *core.StoreEngine)) Volumes {
+	var (
+		v  Volumes
+		mu sync.Mutex
+		wg sync.WaitGroup
+	)
+	for _, g := range groupCores(spec, cores) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := memsim.New(spec)
+			h.SetPrefetch(!pfOff)
+			e := core.NewStoreEngine(h, spec)
+			e.Seed(seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)
+			e.ConfigureStreams(len(nt), nt)
+			e.SetContext(core.Context{
+				Pressure:      g.pressure,
+				NodeFraction:  float64(cores) / float64(spec.Cores()),
+				ActiveSockets: spec.ActiveSockets(cores),
+				Class:         class,
+				StoreStreams:  len(nt),
+				Eligible:      true,
+				PFOn:          !pfOff,
+			})
+			body(h, e)
 			e.CloseAll()
 			h.Flush()
 			mu.Lock()
-			res.V.Add(volumesOf(h.Counts()), float64(g.count))
+			v.Add(volumesOf(h.Counts()), float64(g.count))
 			mu.Unlock()
-		}(g)
+		}()
 	}
 	wg.Wait()
-	return res, nil
+	return v
+}
+
+// lineSpan returns the first cache line and the line count covering
+// nBytes (> 0) from byte address addr.
+func lineSpan(addr, nBytes int64) (start, n int64) {
+	start = addr >> 6
+	return start, (addr+nBytes-1)>>6 - start + 1
 }
 
 func checkCores(spec *machine.Spec, cores int) error {

@@ -2,8 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"cloversim/internal/core"
 	"cloversim/internal/machine"
@@ -116,8 +116,6 @@ func (r KernelResult) ExcessReadRatio() float64 {
 }
 
 // RunKernel executes a registry kernel across cores (compact pinning).
-//
-//lint:allow ctxflow bounded single-scenario kernel; campaign cancellation is scenario-granular at the sweep engine
 func RunKernel(o KernelOptions) (KernelResult, error) {
 	k, ok := KernelByName(o.Kernel)
 	if !ok {
@@ -132,8 +130,6 @@ func RunKernel(o KernelOptions) (KernelResult, error) {
 	if o.Seed == 0 {
 		o.Seed = 0xbe7c4
 	}
-	spec := o.Machine
-
 	res := KernelResult{Kernel: k, Cores: o.Cores}
 	bytesPerStream := float64(o.ElemsPerStream) * 8 * float64(o.Cores)
 	res.ReadVolume = bytesPerStream * float64(k.ReadStreams)
@@ -144,32 +140,9 @@ func RunKernel(o KernelOptions) (KernelResult, error) {
 	}
 	res.Flops = float64(k.FlopsPerElem) * float64(o.ElemsPerStream) * float64(o.Cores)
 
-	groups := groupCores(spec, o.Cores)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g coreGroup) {
-			defer wg.Done()
-			h := memsim.New(spec)
-			h.SetPrefetch(!o.PFOff)
-			e := core.NewStoreEngine(h, spec)
-			e.Seed(o.Seed ^ uint64(g.firstCore+1)*0x9e3779b97f4a7c15)
-			nt := make([]bool, k.WriteStreams)
-			for i := range nt {
-				nt[i] = k.NT
-			}
-			e.ConfigureStreams(k.WriteStreams, nt)
-			e.SetContext(core.Context{
-				Pressure:      g.pressure,
-				NodeFraction:  float64(o.Cores) / float64(spec.Cores()),
-				ActiveSockets: spec.ActiveSockets(o.Cores),
-				Class:         k.Class(),
-				StoreStreams:  k.WriteStreams,
-				Eligible:      true,
-				PFOn:          !o.PFOff,
-			})
-
+	nt := slices.Repeat([]bool{k.NT}, k.WriteStreams)
+	res.V = runGroups(o.Machine, o.Cores, o.PFOff, o.Seed, k.Class(), nt,
+		func(h *memsim.Hierarchy, e *core.StoreEngine) {
 			gap := (o.ElemsPerStream*8 + (1 << 20)) &^ 63
 			// Stream base addresses: reads first, then writes.
 			readBase := make([]int64, k.ReadStreams)
@@ -184,36 +157,22 @@ func RunKernel(o KernelOptions) (KernelResult, error) {
 			// Process in chunks to interleave streams like a real kernel.
 			const chunk = 512 // elements
 			for pos := int64(0); pos < o.ElemsPerStream; pos += chunk {
-				n := chunk
-				if o.ElemsPerStream-pos < chunk {
-					n = int(o.ElemsPerStream - pos)
-				}
-				bytes := int64(n) * 8
+				bytes := min(o.ElemsPerStream-pos, chunk) * 8
 				for _, base := range readBase {
-					addr := base + pos*8
-					for line := addr >> 6; line <= (addr+bytes-1)>>6; line++ {
-						h.Load(line)
-					}
+					start, n := lineSpan(base+pos*8, bytes)
+					h.AccessRange(start, n, memsim.AccessLoad)
 				}
 				for i, base := range writeBase {
-					addr := base + pos*8
 					if k.Update {
-						for line := addr >> 6; line <= (addr+bytes-1)>>6; line++ {
-							h.Load(line)
-							h.RFO(line)
-						}
+						// Read the row, then write it back in place.
+						start, n := lineSpan(base+pos*8, bytes)
+						h.AccessRange(start, n, memsim.AccessLoad)
+						h.AccessRange(start, n, memsim.AccessRFO)
 						continue
 					}
-					e.StoreRange(i, addr, bytes)
+					e.StoreRange(i, base+pos*8, bytes)
 				}
 			}
-			e.CloseAll()
-			h.Flush()
-			mu.Lock()
-			res.V.Add(volumesOf(h.Counts()), float64(g.count))
-			mu.Unlock()
-		}(g)
-	}
-	wg.Wait()
+		})
 	return res, nil
 }

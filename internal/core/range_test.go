@@ -7,17 +7,15 @@ import (
 	"cloversim/internal/memsim"
 )
 
-// plainBackend wraps a Hierarchy but hides its RangeBackend methods, so
-// a StoreEngine over it takes the per-line path.
-type plainBackend struct{ h *memsim.Hierarchy }
+// lineByLine wraps a Hierarchy and splits every run it is handed into
+// single-line calls.
+type lineByLine struct{ h *memsim.Hierarchy }
 
-func (p plainBackend) Load(line int64)            { p.h.Load(line) }
-func (p plainBackend) RFO(line int64)             { p.h.RFO(line) }
-func (p plainBackend) ClaimI2M(line int64)        { p.h.ClaimI2M(line) }
-func (p plainBackend) ClaimL2(line int64)         { p.h.ClaimL2(line) }
-func (p plainBackend) WriteStreamed(line int64)   { p.h.WriteStreamed(line) }
-func (p plainBackend) WriteNT(line int64)         { p.h.WriteNT(line) }
-func (p plainBackend) WriteNTReverted(line int64) { p.h.WriteNTReverted(line) }
+func (p lineByLine) AccessRange(start, n int64, kind memsim.AccessKind) {
+	for line := start; line < start+n; line++ {
+		p.h.AccessRange(line, 1, kind)
+	}
+}
 
 // storeWorkout drives one engine through the store shapes the traffic
 // generators emit: long aligned rows, misaligned partial heads/tails,
@@ -46,10 +44,11 @@ func storeWorkout(e *StoreEngine, ctx Context, nt bool) {
 	e.CloseAll()
 }
 
-// TestEngineRangeBackendDifferential: a StoreEngine over the batched
-// RangeBackend path must produce bit-identical hierarchy Counts to the
-// same engine over the per-line Backend path — the pending-run
-// coalescing may only group calls, never reorder or drop them.
+// TestEngineRangeBackendDifferential: a StoreEngine over a Hierarchy
+// must produce bit-identical hierarchy Counts to the same engine over
+// a wrapper that splits every run into single-line calls — the
+// pending-run coalescing may only group calls, never reorder or drop
+// them.
 func TestEngineRangeBackendDifferential(t *testing.T) {
 	for _, name := range machine.Names() {
 		spec, _ := machine.ByName(name)
@@ -63,28 +62,25 @@ func TestEngineRangeBackendDifferential(t *testing.T) {
 				Eligible:      true,
 				PFOn:          true,
 			}
-			hPlain := memsim.New(spec)
-			ePlain := NewStoreEngine(plainBackend{hPlain}, spec)
-			storeWorkout(ePlain, ctx, nt)
+			hLine := memsim.New(spec)
+			eLine := NewStoreEngine(lineByLine{hLine}, spec)
+			storeWorkout(eLine, ctx, nt)
 
 			hRange := memsim.New(spec)
 			eRange := NewStoreEngine(hRange, spec)
-			if eRange.rb == nil {
-				t.Fatal("memsim.Hierarchy must implement RangeBackend")
-			}
 			storeWorkout(eRange, ctx, nt)
 
-			if ePlain.Stats() != eRange.Stats() {
+			if eLine.Stats() != eRange.Stats() {
 				t.Fatalf("%s nt=%t: engine stats diverge: %+v vs %+v",
-					name, nt, eRange.Stats(), ePlain.Stats())
+					name, nt, eRange.Stats(), eLine.Stats())
 			}
-			if hPlain.Counts() != hRange.Counts() {
-				t.Fatalf("%s nt=%t: hierarchy counts diverge\nbatched:  %+v\nper-line: %+v",
-					name, nt, hRange.Counts(), hPlain.Counts())
+			if hLine.Counts() != hRange.Counts() {
+				t.Fatalf("%s nt=%t: hierarchy counts diverge\nruns:     %+v\nper-line: %+v",
+					name, nt, hRange.Counts(), hLine.Counts())
 			}
-			hPlain.Flush()
+			hLine.Flush()
 			hRange.Flush()
-			if hPlain.Counts() != hRange.Counts() {
+			if hLine.Counts() != hRange.Counts() {
 				t.Fatalf("%s nt=%t: post-flush counts diverge (dirty state differs)", name, nt)
 			}
 		}

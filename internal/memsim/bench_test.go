@@ -7,68 +7,15 @@ import (
 )
 
 // Benchmarks for the cache-hierarchy hot operations that dominate
-// every traffic study: the per-line Load/RFO/ClaimI2M/WriteNT paths.
+// every traffic study, in ns per simulated line access: access streams
+// replayed through AccessRange in spans of rangeLen lines.
 //
-//	go test -bench BenchmarkHierarchy ./internal/memsim
+//	go test -bench 'Range$' ./internal/memsim
 
 const benchLines = 1 << 14 // 1 MiB of cache lines: spills L1/L2, busy L3
 
 func benchHierarchy() *Hierarchy { return New(machine.ICX8360Y()) }
 
-func BenchmarkHierarchyLoad(b *testing.B) {
-	h := benchHierarchy()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Load(int64(i % benchLines))
-	}
-	if h.Counts().MemReadLines == 0 {
-		b.Fatal("no memory traffic simulated")
-	}
-}
-
-func BenchmarkHierarchyRFO(b *testing.B) {
-	h := benchHierarchy()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.RFO(int64(i % benchLines))
-	}
-}
-
-func BenchmarkHierarchyClaimI2M(b *testing.B) {
-	h := benchHierarchy()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.ClaimI2M(int64(i % benchLines))
-	}
-}
-
-func BenchmarkHierarchyWriteNT(b *testing.B) {
-	h := benchHierarchy()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.WriteNT(int64(i % benchLines))
-	}
-}
-
-// BenchmarkHierarchyStencilMix approximates a stencil loop's access
-// pattern: two streamed reads plus one written stream per iteration.
-func BenchmarkHierarchyStencilMix(b *testing.B) {
-	h := benchHierarchy()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		line := int64(i % benchLines)
-		h.Load(line)
-		h.Load(line + benchLines)
-		h.RFO(line + 2*benchLines)
-	}
-}
-
-// Batched-path benchmarks: the same access streams as the per-line
-// benchmarks above, replayed through AccessRange in spans of rangeLen
-// lines. Compare e.g. HierarchyLoad vs HierarchyLoadRange (both report
-// ns per simulated line access):
-//
-//	go test -bench 'BenchmarkHierarchy(Load|RFO)' ./internal/memsim
 const rangeLen = 256
 
 func benchRange(b *testing.B, kind AccessKind) {
@@ -95,8 +42,8 @@ func BenchmarkHierarchyWriteNTRange(b *testing.B) {
 	benchRange(b, AccessWriteNT)
 }
 
-// BenchmarkHierarchyStencilMixRange is BenchmarkHierarchyStencilMix on
-// the batched API: two read streams and one written stream per span.
+// BenchmarkHierarchyStencilMixRange approximates a stencil loop's access
+// pattern: two read streams and one written stream per span.
 func BenchmarkHierarchyStencilMixRange(b *testing.B) {
 	h := benchHierarchy()
 	b.ReportAllocs()
@@ -144,9 +91,7 @@ func BenchmarkHierarchyClaimI2MStreamRange(b *testing.B) {
 
 func BenchmarkHierarchyFlush(b *testing.B) {
 	h := benchHierarchy()
-	for i := int64(0); i < benchLines; i++ {
-		h.RFO(i)
-	}
+	h.AccessRange(0, benchLines, AccessRFO)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Flush()

@@ -108,7 +108,7 @@ func refGeoms() []refGeom {
 // its low 2 bits one of four sets, the rest a tag from a pool of 1.5x
 // the associativity, so sets overflow, reuse and self-evict.
 const (
-	opLookup     = iota // one of the five lookup variants
+	opLookup     = iota // one of the four lookup variants
 	opAccess            // lookup; on a miss install clean
 	opAccessDirt        // lookup; on a hit mark dirty, on a miss install dirty
 	opClaim             // lookup; on a hit empty the way
@@ -140,20 +140,18 @@ func lockstep(t *testing.T, name string, g machine.CacheGeom, ops []byte) {
 		var got int
 		switch op % opCount {
 		case opLookup:
-			switch (op / opCount) % 5 {
+			switch (op / opCount) % 4 {
 			case 0:
-				got = l.lookup(line)
+				got, _ = l.lookup(line)
 			case 1:
-				got, _ = l.lookupFast(line)
-			case 2:
 				got, _ = l.lookupWB(line)
-			case 3:
+			case 2:
 				got, _ = l.lookupScan(line)
-			case 4:
+			case 3:
 				got, _ = l.probe(line)
 			}
 		default:
-			got = l.lookup(line)
+			got, _ = l.lookup(line)
 		}
 		if got != want {
 			fail("lookup slot %d, reference %d", got, want)
@@ -277,7 +275,7 @@ func TestLevelFillOrderAfterFlush(t *testing.T) {
 	for _, s := range machine.AllPresets() {
 		h := New(s)
 		for i := int64(0); i < 4096; i++ {
-			h.RFO(i * 7)
+			h.AccessRange(i*7, 1, AccessRFO)
 		}
 		h.Flush()
 		for _, l := range []*level{h.l1, h.l2, h.l3} {
@@ -297,7 +295,7 @@ func TestLevelClaimedWayRefilledFirst(t *testing.T) {
 	l := newLevel(machine.ICX8360Y().L1)
 	lines, ways := fillSet(l, 0, l.ways)
 	const k = 5
-	slot := l.lookup(lines[k]) // claims look the line up, then drop it
+	slot, _ := l.lookupScan(lines[k]) // claims look the line up, then drop it
 	l.drop(lines[k], slot)
 	if w := l.victim(0); w != ways[k] {
 		t.Fatalf("victim way %d, want the claimed way %d", w, ways[k])
@@ -320,7 +318,8 @@ func TestLevelClaimedWay0ChosenWhenLRU(t *testing.T) {
 		t.Fatalf("last fill took way %d, want 0", ways[len(ways)-1])
 	}
 	last := lines[len(lines)-1]
-	l.drop(last, l.lookup(last))
+	slot, _ := l.lookupScan(last)
+	l.drop(last, slot)
 	// Way 0 is empty but most recent: the W-1 older ways go first.
 	_, refill := fillSet(l, l.ways, l.ways)
 	for i, w := range refill[:l.ways-1] {

@@ -11,13 +11,13 @@
 // Hierarchy implements core.Backend, so the SpecI2M store engine of
 // internal/core drives it directly.
 //
-// One replacement model serves every access path: each set keeps an
-// exact recency list, so hits, installs and victim choice are O(1)
-// beyond the tag scan. The per-line methods (Load, RFO, ...) are the
-// reference; AccessRange (range.go) replays runs of them with way
-// prediction and presence filters, and the differential and fuzz
-// suites hold the two bit-identical. level_ref_test.go pins the
-// replacement order itself against a stamp-per-way LRU model.
+// AccessRange (range.go) is the one way into the hierarchy: every
+// caller, per-line or batched, issues runs of one access kind. One
+// replacement model serves it: each set keeps an exact recency list, so
+// hits, installs and victim choice are O(1) beyond the tag scan, and
+// way prediction and presence filters shorten the scans. The tests hold
+// it bit-identical to an independent reference hierarchy built on a
+// stamp-per-way LRU model (ref_hierarchy_test.go, level_ref_test.go).
 package memsim
 
 import (
@@ -128,9 +128,9 @@ type setState struct {
 	// iff way w holds a modified line.
 	empty, dirty uint64
 	// filt is the OR of 1<<(tag>>shift & 63) over (a superset of) the
-	// set's resident tags. A clear bit proves a line absent, letting the
-	// batched fast paths skip miss scans entirely; evictions leave stale
-	// bits (false positives) that the fast-path miss scans rebuild away.
+	// set's resident tags. A clear bit proves a line absent, letting
+	// lookups skip miss scans entirely; evictions leave stale bits (false
+	// positives) that the miss scans rebuild away.
 	// Like the predictors this is pure search acceleration, never
 	// semantic state.
 	filt     uint64
@@ -223,20 +223,6 @@ func (l *level) touch(si, base, w int) {
 	s.mru = uint8(w)
 }
 
-// lookup probes for a line; on hit it refreshes LRU and returns the way
-// slot index, else -1.
-func (l *level) lookup(line int64) int {
-	si := int(line & l.mask)
-	set := si * l.ways
-	for w := 0; w < l.ways; w++ {
-		if l.tags[set+w] == line {
-			l.touch(si, set, w)
-			return set + w
-		}
-	}
-	return -1
-}
-
 // victim returns the way to fill in set si: the first empty way past
 // way 0, else the LRU way.
 func (l *level) victim(si int) int {
@@ -250,8 +236,7 @@ func (l *level) victim(si int) int {
 // install places a line (possibly dirty) into its set's victim way,
 // returning the evicted line and whether it was dirty (evicted == -1 if
 // the way was empty). The line must be absent from the level. The
-// presence filter picks up the new tag here, on both the per-line and
-// the batched path.
+// presence filter picks up the new tag here.
 func (l *level) install(line int64, dirty bool) (evicted int64, evDirty bool) {
 	si := int(line & l.mask)
 	w := l.victim(si)
@@ -288,25 +273,25 @@ func (l *level) markDirty(line int64, slot int) {
 	l.set[si].dirty |= 1 << uint(slot-si*l.ways)
 }
 
-// lookupFast is the batched-path lookup: identical semantics (hit
-// refreshes LRU exactly like lookup) but the hit is detected by a
-// predicted-way compare — lines of one sequential stream land on the
-// same way across consecutive sets — before falling back to the
-// unrolled tag scan. Since a line is installed only after a miss
-// confirmed its absence, tags are unique per set and the predicted-way
-// shortcut cannot change which slot a hit resolves to.
-func (l *level) lookupFast(line int64) (int, bool) {
+// lookup probes for a line; on hit it refreshes LRU and returns the
+// way slot index. The hit is detected by a predicted-way compare —
+// lines of one sequential stream land on the same way across
+// consecutive sets — before the presence filter and the unrolled tag
+// scan. Since a line is installed only after a miss confirmed its
+// absence, tags are unique per set and the predicted-way shortcut
+// cannot change which slot a hit resolves to.
+func (l *level) lookup(line int64) (int, bool) {
 	return l.lookupPred(line, &l.pred)
 }
 
-// lookupWB is lookupFast on the write-back predictor slot: dirty
+// lookupWB is lookup on the write-back predictor slot: dirty
 // evictions of a sequential stream are themselves sequential, but lag
 // the demand stream, so they predict well only with their own slot.
 func (l *level) lookupWB(line int64) (int, bool) {
 	return l.lookupPred(line, &l.predWB)
 }
 
-// lookupPred is lookupFast on the predictor slot pred.
+// lookupPred is lookup on the predictor slot pred.
 func (l *level) lookupPred(line int64, pred *int) (int, bool) {
 	si := int(line & l.mask)
 	set := si * l.ways
@@ -327,7 +312,7 @@ func (l *level) lookupPred(line int64, pred *int) (int, bool) {
 	return -1, false
 }
 
-// lookupScan is lookupFast without the way prediction, for probes off
+// lookupScan is lookup without the way prediction, for probes off
 // the sequential demand stream (prefetch candidates) whose interleaved
 // way patterns would only thrash the predictors. Candidate lines are
 // usually absent everywhere, so the filter skip carries this path.
@@ -346,7 +331,7 @@ func (l *level) lookupScan(line int64) (int, bool) {
 	return -1, false
 }
 
-// probe is lookupFast without the presence filter, for L1: its few
+// probe is lookup without the presence filter, for L1: its few
 // sets saturate any filter, so the filter check and its rebuilds would
 // only cost. The L1 filter is refreshed only by install accumulation and
 // Flush resets.
@@ -454,201 +439,6 @@ func (h *Hierarchy) PrefetchOn() bool { return h.pfOn }
 // Counts returns a snapshot of all counters.
 func (h *Hierarchy) Counts() Counts { return h.c }
 
-// installThrough pushes a line into l3, l2 and l1 (dirty at L1 if dirty),
-// propagating dirty evictions down to memory.
-func (h *Hierarchy) installThrough(line int64, dirty bool) {
-	if ev, d := h.l3.install(line, false); d && ev >= 0 {
-		h.c.MemWriteLines++
-	}
-	h.installL2L1(line, dirty)
-}
-
-// installL2L1 installs into L2 and L1 only.
-func (h *Hierarchy) installL2L1(line int64, dirty bool) {
-	if ev, d := h.l2.install(line, false); d && ev >= 0 {
-		h.writebackToL3(ev)
-	}
-	if ev, d := h.l1.install(line, dirty); d && ev >= 0 {
-		h.writebackToL2(ev)
-	}
-}
-
-// writebackToL2 handles a dirty eviction from L1.
-func (h *Hierarchy) writebackToL2(line int64) {
-	if slot := h.l2.lookup(line); slot >= 0 {
-		h.l2.markDirty(line, slot)
-		return
-	}
-	if ev, d := h.l2.install(line, true); d && ev >= 0 {
-		h.writebackToL3(ev)
-	}
-}
-
-// writebackToL3 handles a dirty eviction from L2.
-func (h *Hierarchy) writebackToL3(line int64) {
-	if slot := h.l3.lookup(line); slot >= 0 {
-		h.l3.markDirty(line, slot)
-		return
-	}
-	if ev, d := h.l3.install(line, true); d && ev >= 0 {
-		h.c.MemWriteLines++
-	}
-}
-
-// memFetch reads a line from memory (counting) and runs prefetch logic.
-// Prefetching only follows demand-load streams: store (RFO) streams are
-// handled by the write-allocate-evasion engine, and prefetching them would
-// defeat ItoM claims (the hardware suppresses this likewise).
-func (h *Hierarchy) memFetch(line int64, allowPF bool) {
-	h.c.MemReadLines++
-	if !allowPF {
-		return
-	}
-	if h.adjacentOn {
-		buddy := line ^ 1
-		if h.l3.lookup(buddy) < 0 && h.l2.lookup(buddy) < 0 {
-			h.c.MemReadLines++
-			h.c.PFLines++
-			if ev, d := h.l3.install(buddy, false); d && ev >= 0 {
-				h.c.MemWriteLines++
-			}
-		}
-	}
-	if h.pfOn {
-		h.prefetch(line)
-	}
-}
-
-// prefetch implements a simple L2 streamer: a miss that is sequential to
-// a previous miss arms a stream and pulls the next pfDist lines into L3.
-func (h *Hierarchy) prefetch(line int64) {
-	armed := false
-	for i := range h.pfSlots {
-		if h.pfSlots[i] == line-1 || h.pfSlots[i] == line-2 {
-			h.pfSlots[i] = line
-			armed = true
-			break
-		}
-	}
-	if !armed {
-		h.pfSlots[h.pfNext] = line
-		h.pfNext = (h.pfNext + 1) % pfSlotCount
-		return
-	}
-	for d := int64(1); d <= h.pfDist; d++ {
-		l := line + d
-		if h.l3.lookup(l) >= 0 || h.l2.lookup(l) >= 0 || h.l1.lookup(l) >= 0 {
-			continue
-		}
-		h.c.MemReadLines++
-		h.c.PFLines++
-		if ev, dd := h.l3.install(l, false); dd && ev >= 0 {
-			h.c.MemWriteLines++
-		}
-	}
-}
-
-// access is the shared load/RFO path.
-func (h *Hierarchy) access(line int64, dirty, allowPF bool) {
-	if slot := h.l1.lookup(line); slot >= 0 {
-		h.c.L1Hits++
-		if dirty {
-			h.l1.markDirty(line, slot)
-		}
-		return
-	}
-	if h.l2.lookup(line) >= 0 {
-		h.c.L2Hits++
-		h.installToL1(line, dirty)
-		return
-	}
-	if h.l3.lookup(line) >= 0 {
-		h.c.L3Hits++
-		h.installL2L1(line, dirty)
-		return
-	}
-	h.memFetch(line, allowPF)
-	h.installThrough(line, dirty)
-}
-
-// installToL1 installs a line into L1 only (it already sits in L2).
-func (h *Hierarchy) installToL1(line int64, dirty bool) {
-	if ev, d := h.l1.install(line, dirty); d && ev >= 0 {
-		h.writebackToL2(ev)
-	}
-}
-
-// Load implements core.Backend.
-func (h *Hierarchy) Load(line int64) {
-	h.c.Loads++
-	h.access(line, false, true)
-}
-
-// RFO implements core.Backend.
-func (h *Hierarchy) RFO(line int64) {
-	h.c.RFOs++
-	h.access(line, true, false)
-}
-
-// ClaimI2M implements core.Backend: the line is claimed dirty at L3
-// without a memory read (SpecI2M ItoM transaction).
-func (h *Hierarchy) ClaimI2M(line int64) {
-	h.c.ItoMLines++
-	// Drop stale private copies so the dirty state lives at L3.
-	if slot := h.l1.lookup(line); slot >= 0 {
-		h.l1.drop(line, slot)
-	}
-	if slot := h.l2.lookup(line); slot >= 0 {
-		h.l2.drop(line, slot)
-	}
-	if slot := h.l3.lookup(line); slot >= 0 {
-		h.l3.markDirty(line, slot)
-		return
-	}
-	if ev, d := h.l3.install(line, true); d && ev >= 0 {
-		h.c.MemWriteLines++
-	}
-}
-
-// ClaimL2 implements core.Backend: the line is claimed dirty in the
-// private L2 without a memory read (A64FX cache-line zero). The write
-// reaches memory via the normal write-back path, and — unlike ItoM — the
-// data is immediately reusable from the private cache.
-func (h *Hierarchy) ClaimL2(line int64) {
-	h.c.ItoMLines++ // counted in the same evasion event class
-	if slot := h.l1.lookup(line); slot >= 0 {
-		h.l1.drop(line, slot)
-	}
-	if slot := h.l2.lookup(line); slot >= 0 {
-		h.l2.markDirty(line, slot)
-		return
-	}
-	if ev, d := h.l2.install(line, true); d && ev >= 0 {
-		h.writebackToL3(ev)
-	}
-}
-
-// WriteStreamed implements core.Backend: ARM write-streaming mode sends
-// the detected store stream straight to memory.
-func (h *Hierarchy) WriteStreamed(line int64) {
-	h.c.WSLines++
-	h.c.MemWriteLines++
-}
-
-// WriteNT implements core.Backend: a direct (write-combined) memory write.
-func (h *Hierarchy) WriteNT(line int64) {
-	h.c.NTLines++
-	h.c.MemWriteLines++
-}
-
-// WriteNTReverted implements core.Backend: the NT store was demoted to a
-// regular write-allocate store (read + eventual write-back).
-func (h *Hierarchy) WriteNTReverted(line int64) {
-	h.c.NTReverted++
-	h.c.RFOs++
-	h.access(line, true, false)
-}
-
 // Flush writes back every dirty line and invalidates the hierarchy,
 // counting the write-backs. Use at region boundaries when residual dirty
 // state matters (small working sets).
@@ -659,30 +449,11 @@ func (h *Hierarchy) Flush() {
 	h.resetPrefetch()
 }
 
-// Invalidate drops all cached state without counting write-backs.
-func (h *Hierarchy) Invalidate() {
-	for _, l := range []*level{h.l1, h.l2, h.l3} {
-		l.reset()
-	}
-	h.resetPrefetch()
-}
-
 // resetPrefetch forgets every detected prefetch stream.
 func (h *Hierarchy) resetPrefetch() {
 	for i := range h.pfSlots {
 		h.pfSlots[i] = -1
 	}
-}
-
-// DirtyLines counts dirty lines currently cached (for tests).
-func (h *Hierarchy) DirtyLines() int {
-	n := 0
-	for _, l := range []*level{h.l1, h.l2, h.l3} {
-		for _, st := range l.set {
-			n += bits.OnesCount64(st.dirty)
-		}
-	}
-	return n
 }
 
 // String summarizes the hierarchy geometry.

@@ -1,17 +1,18 @@
 package memsim
 
-// AccessKind names one per-line hierarchy operation for batched replay.
-// The kinds mirror the core.Backend methods one-to-one.
+// AccessKind names one hierarchy operation: a demand load, a
+// write-allocate, one of the two write-allocate-evading claims, or one
+// of the three direct memory writes.
 type AccessKind uint8
 
 const (
-	AccessLoad AccessKind = iota
-	AccessRFO
-	AccessClaimI2M
-	AccessClaimL2
-	AccessWriteNT
-	AccessWriteNTReverted
-	AccessWriteStreamed
+	AccessLoad            AccessKind = iota // demand load
+	AccessRFO                               // write-allocate: fetched, installed dirty
+	AccessClaimI2M                          // SpecI2M ItoM: claimed dirty at L3, no read
+	AccessClaimL2                           // A64FX cache-line zero: claimed dirty in L2, no read
+	AccessWriteNT                           // non-temporal write straight to memory
+	AccessWriteNTReverted                   // NT store demoted to a write-allocate
+	AccessWriteStreamed                     // ARM write-streaming write straight to memory
 )
 
 func (k AccessKind) String() string {
@@ -35,26 +36,28 @@ func (k AccessKind) String() string {
 }
 
 // AccessRange performs n accesses of one kind to the consecutive lines
-// start..start+n-1. It is semantically identical to calling the matching
-// per-line method (Load, RFO, ClaimI2M, ...) in a loop — cache state and
-// Counts are bit-identical, which the differential tests in
-// range_test.go enforce — but runs on a flattened simulation that
-// exploits sequential-line locality: hits resolve via a predicted-way
-// compare (a stream lands on the same way across consecutive sets), tag
-// scans are unrolled, presence filters skip scans for absent lines, and
-// per-access counters are batched. Streaming loop nests spend most of
-// their simulated accesses here.
+// start..start+n-1, in order; it is the only way into the hierarchy.
+// A run of n lines is exactly n runs of one line — cache state and
+// Counts are identical, which the differential tests against the
+// reference hierarchy enforce — but long runs exploit sequential-line
+// locality: hits resolve via a predicted-way compare (a stream lands on
+// the same way across consecutive sets), tag scans are unrolled,
+// presence filters skip scans for absent lines, and per-access counters
+// are batched. Streaming loop nests spend most of their simulated
+// accesses here.
 func (h *Hierarchy) AccessRange(start, n int64, kind AccessKind) {
 	if n <= 0 {
 		return
 	}
 	switch kind {
 	case AccessWriteNT:
-		// WriteNT touches no cache state: pure counter batch.
+		// NT writes touch no cache state: pure counter batch.
 		h.c.NTLines += n
 		h.c.MemWriteLines += n
 		return
 	case AccessWriteStreamed:
+		// ARM write-streaming mode sends the store stream straight to
+		// memory; distinct from NT writes only in accounting.
 		h.c.WSLines += n
 		h.c.MemWriteLines += n
 		return
@@ -63,6 +66,7 @@ func (h *Hierarchy) AccessRange(start, n int64, kind AccessKind) {
 	case AccessRFO:
 		h.c.RFOs += n
 	case AccessWriteNTReverted:
+		// An NT store the hardware demoted to a regular write-allocate.
 		h.c.NTReverted += n
 		h.c.RFOs += n
 	}
@@ -73,43 +77,23 @@ func (h *Hierarchy) AccessRange(start, n int64, kind AccessKind) {
 		h.accessRange(start, n, true, false)
 	case AccessClaimI2M:
 		for line := start; line < start+n; line++ {
-			h.claimI2MFast(line)
+			h.claimI2M(line)
 		}
 	case AccessClaimL2:
 		for line := start; line < start+n; line++ {
-			h.claimL2Fast(line)
+			h.claimL2(line)
 		}
 	}
 }
 
-// RFORange implements core.RangeBackend.
-func (h *Hierarchy) RFORange(start, n int64) { h.AccessRange(start, n, AccessRFO) }
-
-// ClaimI2MRange implements core.RangeBackend.
-func (h *Hierarchy) ClaimI2MRange(start, n int64) { h.AccessRange(start, n, AccessClaimI2M) }
-
-// ClaimL2Range implements core.RangeBackend.
-func (h *Hierarchy) ClaimL2Range(start, n int64) { h.AccessRange(start, n, AccessClaimL2) }
-
-// WriteStreamedRange implements core.RangeBackend.
-func (h *Hierarchy) WriteStreamedRange(start, n int64) { h.AccessRange(start, n, AccessWriteStreamed) }
-
-// WriteNTRange implements core.RangeBackend.
-func (h *Hierarchy) WriteNTRange(start, n int64) { h.AccessRange(start, n, AccessWriteNT) }
-
-// WriteNTRevertedRange implements core.RangeBackend.
-func (h *Hierarchy) WriteNTRevertedRange(start, n int64) {
-	h.AccessRange(start, n, AccessWriteNTReverted)
-}
-
-// accessRange is the batched equivalent of n calls to access() on
-// consecutive lines (minus the Loads/RFOs counter, which the caller
-// batches). On a full miss with active prefetchers, memFetch may touch
-// any level, so that case falls back to the exact per-line miss
-// sequence.
+// accessRange performs n demand loads (dirty false) or write-allocates
+// (dirty true) on consecutive lines, minus the Loads/RFOs counter,
+// which the caller batches. A miss reads the line from memory — via
+// memFetch, which may first prefetch other lines, when allowPF and a
+// prefetcher is on — and installs it at every level.
 func (h *Hierarchy) accessRange(start, n int64, dirty, allowPF bool) {
 	l1, l2, l3 := h.l1, h.l2, h.l3
-	fusedMiss := !allowPF || (!h.pfOn && !h.adjacentOn)
+	prefetch := allowPF && (h.pfOn || h.adjacentOn)
 	for line := start; line < start+n; line++ {
 		if slot, hit := l1.probe(line); hit {
 			h.c.L1Hits++
@@ -118,82 +102,53 @@ func (h *Hierarchy) accessRange(start, n int64, dirty, allowPF bool) {
 			}
 			continue
 		}
-		if _, hit := l2.lookupFast(line); hit {
+		if _, hit := l2.lookup(line); hit {
 			h.c.L2Hits++
 			if ev, d := l1.install(line, dirty); d && ev >= 0 {
-				h.writebackToL2Fast(ev)
+				h.writebackToL2(ev)
 			}
 			continue
 		}
-		if _, hit := l3.lookupFast(line); hit {
+		if _, hit := l3.lookup(line); hit {
 			h.c.L3Hits++
 			if ev, d := l2.install(line, false); d && ev >= 0 {
-				h.writebackToL3Fast(ev)
+				h.writebackToL3(ev)
 			}
 			if ev, d := l1.install(line, dirty); d && ev >= 0 {
-				h.writebackToL2Fast(ev)
+				h.writebackToL2(ev)
 			}
 			continue
 		}
-		if fusedMiss {
+		if prefetch {
+			h.memFetch(line)
+		} else {
 			h.c.MemReadLines++
-			if ev, d := l3.install(line, false); d && ev >= 0 {
-				h.c.MemWriteLines++
-			}
-			if ev, d := l2.install(line, false); d && ev >= 0 {
-				h.writebackToL3Fast(ev)
-			}
-			if ev, d := l1.install(line, dirty); d && ev >= 0 {
-				h.writebackToL2Fast(ev)
-			}
-			continue
 		}
-		h.memFetchFast(line, allowPF)
-		h.installThroughFast(line, dirty)
+		if ev, d := l3.install(line, false); d && ev >= 0 {
+			h.c.MemWriteLines++
+		}
+		if ev, d := l2.install(line, false); d && ev >= 0 {
+			h.writebackToL3(ev)
+		}
+		if ev, d := l1.install(line, dirty); d && ev >= 0 {
+			h.writebackToL2(ev)
+		}
 	}
 }
 
-// The Fast install/write-back/prefetch chain below mirrors the per-line
-// chain operation for operation — same probe order, same LRU updates,
-// same short-circuiting — swapping only the lookups for their predicted
-// and filtered variants.
-
-// installToL1Fast is installToL1 on the fast chain.
-func (h *Hierarchy) installToL1Fast(line int64, dirty bool) {
-	if ev, d := h.l1.install(line, dirty); d && ev >= 0 {
-		h.writebackToL2Fast(ev)
-	}
-}
-
-// installL2L1Fast is installL2L1 on the fast chain.
-func (h *Hierarchy) installL2L1Fast(line int64, dirty bool) {
-	if ev, d := h.l2.install(line, false); d && ev >= 0 {
-		h.writebackToL3Fast(ev)
-	}
-	h.installToL1Fast(line, dirty)
-}
-
-// installThroughFast is installThrough on the fast chain.
-func (h *Hierarchy) installThroughFast(line int64, dirty bool) {
-	if ev, d := h.l3.install(line, false); d && ev >= 0 {
-		h.c.MemWriteLines++
-	}
-	h.installL2L1Fast(line, dirty)
-}
-
-// writebackToL2Fast is writebackToL2 on the fast chain.
-func (h *Hierarchy) writebackToL2Fast(line int64) {
+// writebackToL2 handles a dirty eviction from L1.
+func (h *Hierarchy) writebackToL2(line int64) {
 	if slot, hit := h.l2.lookupWB(line); hit {
 		h.l2.markDirty(line, slot)
 		return
 	}
 	if ev, d := h.l2.install(line, true); d && ev >= 0 {
-		h.writebackToL3Fast(ev)
+		h.writebackToL3(ev)
 	}
 }
 
-// writebackToL3Fast is writebackToL3 on the fast chain.
-func (h *Hierarchy) writebackToL3Fast(line int64) {
+// writebackToL3 handles a dirty eviction from L2.
+func (h *Hierarchy) writebackToL3(line int64) {
 	if slot, hit := h.l3.lookupWB(line); hit {
 		h.l3.markDirty(line, slot)
 		return
@@ -203,12 +158,13 @@ func (h *Hierarchy) writebackToL3Fast(line int64) {
 	}
 }
 
-// memFetchFast is memFetch on the fast chain.
-func (h *Hierarchy) memFetchFast(line int64, allowPF bool) {
+// memFetch reads a demand-load miss from memory (counting) and runs the
+// prefetchers. Prefetching only follows demand-load streams: store
+// (RFO) streams are handled by the write-allocate-evasion engine, and
+// prefetching them would defeat ItoM claims (the hardware suppresses
+// this likewise).
+func (h *Hierarchy) memFetch(line int64) {
 	h.c.MemReadLines++
-	if !allowPF {
-		return
-	}
 	if h.adjacentOn {
 		buddy := line ^ 1
 		_, l3hit := h.l3.lookupScan(buddy)
@@ -223,12 +179,13 @@ func (h *Hierarchy) memFetchFast(line int64, allowPF bool) {
 		}
 	}
 	if h.pfOn {
-		h.prefetchFast(line)
+		h.prefetch(line)
 	}
 }
 
-// prefetchFast is prefetch on the fast chain.
-func (h *Hierarchy) prefetchFast(line int64) {
+// prefetch implements a simple L2 streamer: a miss that is sequential to
+// a previous miss arms a stream and pulls the next pfDist lines into L3.
+func (h *Hierarchy) prefetch(line int64) {
 	armed := false
 	for i := range h.pfSlots {
 		if h.pfSlots[i] == line-1 || h.pfSlots[i] == line-2 {
@@ -261,8 +218,10 @@ func (h *Hierarchy) prefetchFast(line int64) {
 	}
 }
 
-// claimI2MFast is ClaimI2M on the fast chain.
-func (h *Hierarchy) claimI2MFast(line int64) {
+// claimI2M claims the line dirty at L3 without a memory read (SpecI2M
+// ItoM transaction), dropping stale private copies so the dirty state
+// lives at L3.
+func (h *Hierarchy) claimI2M(line int64) {
 	h.c.ItoMLines++
 	if slot, hit := h.l1.lookupScan(line); hit {
 		h.l1.drop(line, slot)
@@ -270,7 +229,7 @@ func (h *Hierarchy) claimI2MFast(line int64) {
 	if slot, hit := h.l2.lookupScan(line); hit {
 		h.l2.drop(line, slot)
 	}
-	if slot, hit := h.l3.lookupFast(line); hit {
+	if slot, hit := h.l3.lookup(line); hit {
 		h.l3.markDirty(line, slot)
 		return
 	}
@@ -279,17 +238,20 @@ func (h *Hierarchy) claimI2MFast(line int64) {
 	}
 }
 
-// claimL2Fast is ClaimL2 on the fast chain.
-func (h *Hierarchy) claimL2Fast(line int64) {
+// claimL2 claims the line dirty in the private L2 without a memory read
+// (A64FX cache-line zero). The write reaches memory via the normal
+// write-back path, and — unlike ItoM — the data is immediately reusable
+// from the private cache. It counts in the same evasion event class.
+func (h *Hierarchy) claimL2(line int64) {
 	h.c.ItoMLines++
 	if slot, hit := h.l1.lookupScan(line); hit {
 		h.l1.drop(line, slot)
 	}
-	if slot, hit := h.l2.lookupFast(line); hit {
+	if slot, hit := h.l2.lookup(line); hit {
 		h.l2.markDirty(line, slot)
 		return
 	}
 	if ev, d := h.l2.install(line, true); d && ev >= 0 {
-		h.writebackToL3Fast(ev)
+		h.writebackToL3(ev)
 	}
 }

@@ -7,14 +7,14 @@ import (
 	"cloversim/internal/machine"
 )
 
-// The suites below hold AccessRange to the per-line reference in Counts
+// The suites below hold AccessRange to the reference hierarchy in Counts
 // AND semantic cache state (tags, dirty bits, each set's recency order)
 // over tiny geometries, where a few hundred lines sweep a whole
 // hierarchy through fill, conflict and steady state. Their run shapes —
 // lengths at the associativity and capacity boundaries, mixed residency,
 // dirty private sets, self-evicting runs — are the ones a closed-form
 // AccessRange tier once special-cased, and they keep that tier's test
-// names; with the tier gone they check the batched path alone.
+// names; with the tier gone they check AccessRange itself.
 
 // tinySpec builds a machine spec whose memsim hierarchy has exactly the
 // given per-level sets x ways (sets must be powers of two — newLevel
@@ -29,89 +29,11 @@ func tinySpec(l1s, l1w, l2s, l2w, l3s, l3w int) *machine.Spec {
 	return s
 }
 
-// levelState is one level's semantic state: everything the replacement
-// and write-back policies read. order lists each set's ways from MRU to
-// LRU. The search-acceleration state (filt, pred) is deliberately
-// excluded — it is allowed to diverge.
-type levelState struct {
-	tags  []int64
-	dirty []bool
-	order []uint8
-}
-
-func captureState(h *Hierarchy) [3]levelState {
-	var out [3]levelState
-	for i, l := range []*level{h.l1, h.l2, h.l3} {
-		st := levelState{
-			tags:  append([]int64(nil), l.tags...),
-			dirty: make([]bool, len(l.tags)),
-			order: make([]uint8, 0, len(l.tags)),
-		}
-		for si := range l.set {
-			s, base := l.set[si], si*l.ways
-			for w := 0; w < l.ways; w++ {
-				st.dirty[base+w] = s.dirty&(1<<uint(w)) != 0
-			}
-			w := s.mru
-			for k := 0; k < l.ways; k++ {
-				st.order = append(st.order, w)
-				w = l.link[base+int(w)].older
-			}
-		}
-		out[i] = st
-	}
-	return out
-}
-
-// diffState returns "" when equal, else a description of the first
-// diverging level.
-func diffState(got, want [3]levelState) string {
-	names := [3]string{"L1", "L2", "L3"}
-	for i := range got {
-		for s := range got[i].tags {
-			if got[i].tags[s] != want[i].tags[s] || got[i].dirty[s] != want[i].dirty[s] {
-				return fmt.Sprintf("%s slot %d: got tag=%d dirty=%t, want tag=%d dirty=%t",
-					names[i], s, got[i].tags[s], got[i].dirty[s], want[i].tags[s], want[i].dirty[s])
-			}
-		}
-		for k := range got[i].order {
-			if got[i].order[k] != want[i].order[k] {
-				return fmt.Sprintf("%s recency position %d: got way %d, want way %d",
-					names[i], k, got[i].order[k], want[i].order[k])
-			}
-		}
-	}
-	return ""
-}
-
-// replayFull runs a trace, captures counts + semantic state, then
-// probes the residual state through the public per-line API (a load
-// sweep whose hit/miss pattern depends on every resident line) and
-// flushes (whose write-back count depends on every dirty bit).
-func replayFull(spec *machine.Spec, pfOn bool, probe int64, trace []pattern,
-	usePerLine bool) (mid Counts, st [3]levelState, fin Counts) {
-	h := New(spec)
-	h.SetPrefetch(pfOn)
-	for _, p := range trace {
-		if usePerLine {
-			perLine(h, p.start, p.n, p.kind)
-		} else {
-			h.AccessRange(p.start, p.n, p.kind)
-		}
-	}
-	mid, st = h.Counts(), captureState(h)
-	for line := int64(0); line < probe; line++ {
-		h.Load(line)
-	}
-	h.Flush()
-	return mid, st, h.Counts()
-}
-
 // TestAnalyticDifferential sweeps randomized tiny geometries x all
 // seven access kinds x the boundary run lengths {1, ways-1, ways,
 // sets x ways, > cache} per level, each run preceded by a random
 // prelude that leaves mixed clean/dirty residency, and asserts
-// AccessRange is bit-identical to the per-line reference in counts,
+// AccessRange is bit-identical to the reference hierarchy in counts,
 // semantic state, and post-probe behaviour.
 func TestAnalyticDifferential(t *testing.T) {
 	r := &rng{s: 0xA11A}
@@ -144,18 +66,8 @@ func TestAnalyticDifferential(t *testing.T) {
 						pattern{start: int64(r.next() % uint64(span)), n: n, kind: kind},
 						pattern{start: 4 * span, n: n, kind: kind})
 
-					wm, ws, wf := replayFull(spec, pfOn, 2*span, trace, true)
-					gm, gs, gf := replayFull(spec, pfOn, 2*span, trace, false)
-					if gm != wm {
-						t.Fatalf("%s pf=%t %v n=%d: counts diverge\nbatched: %+v\nper-line: %+v",
-							spec.Name, pfOn, kind, n, gm, wm)
-					}
-					if d := diffState(gs, ws); d != "" {
-						t.Fatalf("%s pf=%t %v n=%d: state diverges: %s", spec.Name, pfOn, kind, n, d)
-					}
-					if gf != wf {
-						t.Fatalf("%s pf=%t %v n=%d: post-probe counts diverge\nbatched: %+v\nper-line: %+v",
-							spec.Name, pfOn, kind, n, gf, wf)
+					if d := differential(spec, pfOn, 2*span, trace, whole); d != "" {
+						t.Fatalf("%s pf=%t %v n=%d: %s", spec.Name, pfOn, kind, n, d)
 					}
 				}
 			}
@@ -163,8 +75,8 @@ func TestAnalyticDifferential(t *testing.T) {
 	}
 }
 
-// TestAnalyticFallbackReasons checks AccessRange against the per-line
-// reference, in counts and state, on one run of each irregular shape
+// TestAnalyticFallbackReasons checks AccessRange against the reference
+// hierarchy, in counts and state, on one run of each irregular shape
 // (prefetch on, a short run, mixed residency, a dirty private set, runs
 // that evict their own lines from L1 or L2) and of each regular one.
 func TestAnalyticFallbackReasons(t *testing.T) {
@@ -195,25 +107,9 @@ func TestAnalyticFallbackReasons(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(per bool) *Hierarchy {
-				h := New(mk())
-				h.SetPrefetch(tc.pfOn)
-				for _, p := range tc.setup {
-					h.AccessRange(p.start, p.n, p.kind)
-				}
-				if per {
-					perLine(h, tc.run.start, tc.run.n, tc.run.kind)
-				} else {
-					h.AccessRange(tc.run.start, tc.run.n, tc.run.kind)
-				}
-				return h
-			}
-			h, ref := run(false), run(true)
-			if g, w := h.Counts(), ref.Counts(); g != w {
-				t.Fatalf("counts diverge from per-line: %+v vs %+v", g, w)
-			}
-			if d := diffState(captureState(h), captureState(ref)); d != "" {
-				t.Fatalf("state diverges from per-line: %s", d)
+			trace := append(append([]pattern(nil), tc.setup...), tc.run)
+			if d := differential(mk(), tc.pfOn, 0, trace, whole); d != "" {
+				t.Fatal(d)
 			}
 		})
 	}
@@ -260,7 +156,7 @@ func analyticTrace(seed uint64, batches int, l1w, cache int64) []pattern {
 }
 
 // FuzzAnalyticRange fuzzes the differential property — AccessRange vs
-// the per-line reference, in counts and state — on the tiny geometries
+// the reference hierarchy, in counts and state — on the tiny geometries
 // over traces of boundary-shaped runs. The committed corpus under
 // testdata/fuzz seeds the aliasing, direct-mapped, ways-boundary and
 // kind-switch cases.
@@ -276,14 +172,8 @@ func FuzzAnalyticRange(f *testing.F) {
 		spec := tinySpec(g[0], g[1], g[2], g[3], g[4], g[5])
 		cache := int64(g[0]*g[1] + g[2]*g[3] + g[4]*g[5])
 		trace := analyticTrace(seed, int(batches%48)+1, int64(g[1]), cache)
-		wm, ws, wf := replayFull(spec, pfOn, 512, trace, true)
-		gm, gs, gf := replayFull(spec, pfOn, 512, trace, false)
-		if gm != wm || gf != wf {
-			t.Fatalf("seed=%#x pf=%t: counts diverge\nbatched mid %+v fin %+v\nper-line mid %+v fin %+v",
-				seed, pfOn, gm, gf, wm, wf)
-		}
-		if d := diffState(gs, ws); d != "" {
-			t.Fatalf("seed=%#x pf=%t: state diverges: %s", seed, pfOn, d)
+		if d := differential(spec, pfOn, 512, trace, whole); d != "" {
+			t.Fatalf("seed=%#x pf=%t: %s", seed, pfOn, d)
 		}
 	})
 }

@@ -7,28 +7,6 @@ import (
 	"cloversim/internal/machine"
 )
 
-// perLine replays one range through the reference per-line methods.
-func perLine(h *Hierarchy, start, n int64, kind AccessKind) {
-	for line := start; line < start+n; line++ {
-		switch kind {
-		case AccessLoad:
-			h.Load(line)
-		case AccessRFO:
-			h.RFO(line)
-		case AccessClaimI2M:
-			h.ClaimI2M(line)
-		case AccessClaimL2:
-			h.ClaimL2(line)
-		case AccessWriteNT:
-			h.WriteNT(line)
-		case AccessWriteNTReverted:
-			h.WriteNTReverted(line)
-		case AccessWriteStreamed:
-			h.WriteStreamed(line)
-		}
-	}
-}
-
 var allKinds = []AccessKind{AccessLoad, AccessRFO, AccessClaimI2M, AccessClaimL2,
 	AccessWriteNT, AccessWriteNTReverted, AccessWriteStreamed}
 
@@ -75,45 +53,65 @@ func randomTrace(seed uint64, batches int) []pattern {
 	return out
 }
 
-// replay runs a trace on a fresh hierarchy via run and returns the final
-// counts, post-flush counts (catching dirty-state divergence), and the
-// dirty-line census before the flush.
-func replay(spec *machine.Spec, pfOn bool, trace []pattern,
-	run func(*Hierarchy, pattern)) (mid Counts, dirty int, final Counts) {
+// replayed is what one replay observed: the counts and semantic state
+// after the trace, the dirty-line census, and the post-flush counts
+// (catching dirty-state divergence).
+type replayed struct {
+	mid   Counts
+	st    [3]levelState
+	dirty int
+	final Counts
+}
+
+// replay runs a trace on m via run and records what it observed. A
+// probe > 0 loads lines 0..probe-1 before the flush, so the post-flush
+// counts also depend on every line left resident.
+func replay(m model, trace []pattern, run func(model, pattern), probe int64) replayed {
+	for _, p := range trace {
+		run(m, p)
+	}
+	out := replayed{mid: m.Counts(), st: m.state(), dirty: m.DirtyLines()}
+	m.AccessRange(0, probe, AccessLoad)
+	m.Flush()
+	out.final = m.Counts()
+	return out
+}
+
+// whole issues each batch as one AccessRange run.
+func whole(m model, p pattern) { m.AccessRange(p.start, p.n, p.kind) }
+
+// differential replays trace on a fresh production hierarchy via run
+// and on the reference, and describes the first divergence ("" if
+// none).
+func differential(spec *machine.Spec, pfOn bool, probe int64, trace []pattern, run func(model, pattern)) string {
 	h := New(spec)
 	h.SetPrefetch(pfOn)
-	for _, p := range trace {
-		run(h, p)
+	got := replay(h, trace, run, probe)
+	want := replay(newRefHierarchy(spec, pfOn), trace, whole, probe)
+	switch {
+	case got.mid != want.mid:
+		return fmt.Sprintf("counts diverge\nproduction: %+v\nreference:  %+v", got.mid, want.mid)
+	case got.dirty != want.dirty:
+		return fmt.Sprintf("dirty lines %d, reference %d", got.dirty, want.dirty)
+	case got.final != want.final:
+		return fmt.Sprintf("post-flush counts diverge\nproduction: %+v\nreference:  %+v", got.final, want.final)
 	}
-	mid = h.Counts()
-	dirty = h.DirtyLines()
-	h.Flush()
-	return mid, dirty, h.Counts()
+	if d := diffState(got.st, want.st); d != "" {
+		return "state diverges: " + d
+	}
+	return ""
 }
 
 // TestAccessRangeDifferential: AccessRange must yield bit-identical
-// Counts and dirty state to the per-line reference path, across random
-// access patterns, prefetch on/off, and every access kind.
+// Counts, dirty and recency state to the reference hierarchy, across
+// random access patterns, prefetch on/off, and every access kind.
 func TestAccessRangeDifferential(t *testing.T) {
 	for _, spec := range diffSpecs() {
 		for _, pfOn := range []bool{true, false} {
 			for seed := uint64(1); seed <= 8; seed++ {
 				trace := randomTrace(seed*0x9e3779b97f4a7c15, 300)
-				wantMid, wantDirty, wantFinal := replay(spec, pfOn, trace,
-					func(h *Hierarchy, p pattern) { perLine(h, p.start, p.n, p.kind) })
-				gotMid, gotDirty, gotFinal := replay(spec, pfOn, trace,
-					func(h *Hierarchy, p pattern) { h.AccessRange(p.start, p.n, p.kind) })
-				if gotMid != wantMid {
-					t.Fatalf("%s pf=%t seed=%d: counts diverge\nbatched: %+v\nper-line: %+v",
-						spec.Name, pfOn, seed, gotMid, wantMid)
-				}
-				if gotDirty != wantDirty {
-					t.Fatalf("%s pf=%t seed=%d: dirty lines %d, per-line %d",
-						spec.Name, pfOn, seed, gotDirty, wantDirty)
-				}
-				if gotFinal != wantFinal {
-					t.Fatalf("%s pf=%t seed=%d: post-flush counts diverge\nbatched: %+v\nper-line: %+v",
-						spec.Name, pfOn, seed, gotFinal, wantFinal)
+				if d := differential(spec, pfOn, 0, trace, whole); d != "" {
+					t.Fatalf("%s pf=%t seed=%d: %s", spec.Name, pfOn, seed, d)
 				}
 			}
 		}
@@ -133,37 +131,32 @@ func TestAccessRangePerKind(t *testing.T) {
 					{start: 4000, n: 300, kind: kind},  // overlap
 					{start: 1 << 20, n: 1, kind: kind}, // singleton far away
 				}
-				wantMid, wantDirty, wantFinal := replay(spec, pfOn, trace,
-					func(h *Hierarchy, p pattern) { perLine(h, p.start, p.n, p.kind) })
-				gotMid, gotDirty, gotFinal := replay(spec, pfOn, trace,
-					func(h *Hierarchy, p pattern) { h.AccessRange(p.start, p.n, p.kind) })
-				if gotMid != wantMid || gotDirty != wantDirty || gotFinal != wantFinal {
-					t.Fatalf("counts diverge\nbatched: %+v dirty=%d final=%+v\nper-line: %+v dirty=%d final=%+v",
-						gotMid, gotDirty, gotFinal, wantMid, wantDirty, wantFinal)
+				if d := differential(spec, pfOn, 0, trace, whole); d != "" {
+					t.Fatal(d)
 				}
 			})
 		}
 	}
 }
 
-// TestAccessRangeMixedWithPerLine: interleaving batched and per-line
-// calls on the SAME hierarchy must behave as one continuous trace, so
-// callers may mix APIs freely (the store engine stays per-line while
-// read streams batch).
+// TestAccessRangeMixedWithPerLine: a run issued whole and the same run
+// issued one line at a time are interchangeable on the SAME hierarchy,
+// so callers may split or coalesce runs freely (the store engine
+// coalesces its per-line decisions into runs of any length).
 func TestAccessRangeMixedWithPerLine(t *testing.T) {
 	spec := machine.ICX8360Y()
 	trace := randomTrace(0xf00d, 200)
-	wantMid, _, wantFinal := replay(spec, true, trace,
-		func(h *Hierarchy, p pattern) { perLine(h, p.start, p.n, p.kind) })
-	gotMid, _, gotFinal := replay(spec, true, trace, func(h *Hierarchy, p pattern) {
+	d := differential(spec, true, 0, trace, func(m model, p pattern) {
 		if p.n%2 == 0 {
-			h.AccessRange(p.start, p.n, p.kind)
-		} else {
-			perLine(h, p.start, p.n, p.kind)
+			m.AccessRange(p.start, p.n, p.kind)
+			return
+		}
+		for line := p.start; line < p.start+p.n; line++ {
+			m.AccessRange(line, 1, p.kind)
 		}
 	})
-	if gotMid != wantMid || gotFinal != wantFinal {
-		t.Fatalf("mixed trace diverges: %+v vs %+v", gotMid, wantMid)
+	if d != "" {
+		t.Fatalf("mixed trace: %s", d)
 	}
 }
 
@@ -179,9 +172,10 @@ func TestAccessRangeEmptyAndNegative(t *testing.T) {
 	}
 }
 
-// FuzzAccessRange fuzzes the differential property over arbitrary
-// (seed, batches, pf) triples. The seed corpus covers each access kind,
-// both prefetch states, and degenerate lengths.
+// FuzzAccessRange fuzzes the differential property — production vs
+// the reference hierarchy — over arbitrary (seed, batches, pf)
+// triples. The seed corpus covers each access kind, both prefetch
+// states, and degenerate lengths.
 func FuzzAccessRange(f *testing.F) {
 	f.Add(uint64(1), uint8(4), true)
 	f.Add(uint64(2), uint8(1), false)
@@ -194,13 +188,8 @@ func FuzzAccessRange(f *testing.F) {
 	spec := machine.ICX8360Y()
 	f.Fuzz(func(t *testing.T, seed uint64, batches uint8, pfOn bool) {
 		trace := randomTrace(seed, int(batches%64)+1)
-		wantMid, wantDirty, wantFinal := replay(spec, pfOn, trace,
-			func(h *Hierarchy, p pattern) { perLine(h, p.start, p.n, p.kind) })
-		gotMid, gotDirty, gotFinal := replay(spec, pfOn, trace,
-			func(h *Hierarchy, p pattern) { h.AccessRange(p.start, p.n, p.kind) })
-		if gotMid != wantMid || gotDirty != wantDirty || gotFinal != wantFinal {
-			t.Fatalf("seed=%#x pf=%t: batched %+v dirty=%d vs per-line %+v dirty=%d",
-				seed, pfOn, gotMid, gotDirty, wantMid, wantDirty)
+		if d := differential(spec, pfOn, 0, trace, whole); d != "" {
+			t.Fatalf("seed=%#x pf=%t: %s", seed, pfOn, d)
 		}
 	})
 }
