@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint vettool fmt tidy bench
+.PHONY: build test lint vettool perfbench fmt tidy
 
 build:
 	$(GO) build ./...
@@ -22,19 +22,13 @@ vettool:
 	$(GO) build -o $(or $(TMPDIR),/tmp)/cloverlint ./cmd/cloverlint
 	$(GO) vet -vettool=$(or $(TMPDIR),/tmp)/cloverlint ./...
 
-# bench mirrors CI's bench-baseline job: the same benchmark set, piped
-# through benchjson into BENCH_sweep.json. Compare two runs with
-#   $(GO) run ./cmd/benchjson -compare old.json BENCH_sweep.json
-bench:
-	set -o pipefail; \
-	{ $(GO) test -run - -bench 'BenchmarkEngineThroughput|BenchmarkEngineWarmCampaign' ./internal/sweep && \
-	  $(GO) test -run - -bench 'Range$$|StreamRange' ./internal/memsim && \
-	  $(GO) test -run - -bench 'BenchmarkRunTraffic$$' ./internal/cloverleaf && \
-	  $(GO) test -run - -bench 'BenchmarkExpandStreaming$$' ./internal/sweepd && \
-	  $(GO) test -run - -bench 'BenchmarkStoreOpen' -timeout 25m ./internal/store && \
-	  $(GO) test -run - -bench 'BenchmarkAdaptiveVsExhaustive' ./internal/search; } | tee /tmp/bench_raw.txt
-	$(GO) run ./cmd/benchjson < /tmp/bench_raw.txt > BENCH_sweep.json
-	@echo wrote BENCH_sweep.json
+# perfbench runs CI's two perfbench steps: the nested module's vet and
+# tests (root ./... skips it), then the correctness gate: the full
+# campaign against the committed seed-0 digests plus the traced replay
+# against RunTraffic. Timings are ignored; exit 1 on correct: false.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload campaign-cold --seed 0 --seconds 5 --trace 1
 
 fmt:
 	gofmt -l -w .

@@ -26,8 +26,10 @@ type Options struct {
 	// MachineName selects a preset ("icx", "spr8470", "spr8470+s",
 	// "spr8480"); default "icx".
 	MachineName string
-	// MaxRows truncates each rank's y extent in traffic studies
-	// (0 = paper-faithful full extent; default 32 for tractability).
+	// MaxRows truncates each rank's y extent in traffic studies. 0
+	// selects the default of 32 rows (for tractability); a negative
+	// value disables truncation (the paper-faithful full extent that
+	// cmd/experiments -full passes).
 	MaxRows int
 	// Ranks restricts scaling sweeps to these rank counts (default: all
 	// 1..cores).

@@ -480,7 +480,7 @@ func FigureHaloCopy(o Options, withPFOff bool) ([]HaloPoint, *csvout.Table, erro
 }
 
 // AverageRatio returns the mean RW ratio of the points matching inner
-// and prefetch state (used by tests and EXPERIMENTS.md).
+// and prefetch state, or 0 when none match.
 func AverageRatio(pts []HaloPoint, inner int, pfOff bool) float64 {
 	var s float64
 	n := 0

@@ -3,6 +3,8 @@ package cloversim
 import (
 	"math"
 	"testing"
+
+	"cloversim/internal/cloverleaf"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -75,18 +77,25 @@ func TestFigure2SubsetShape(t *testing.T) {
 	if len(pts) != 5 || len(table.Rows) != 5 {
 		t.Fatalf("%d points", len(pts))
 	}
-	by := map[int]float64{}
+	by := map[int]cloverleaf.ScalingPoint{}
 	for _, p := range pts {
-		by[p.Ranks] = p.Speedup
+		by[p.Ranks] = p
 	}
-	if by[1] != 1 {
-		t.Errorf("serial speedup %g", by[1])
+	if by[1].Speedup != 1 {
+		t.Errorf("serial speedup %g", by[1].Speedup)
 	}
-	if by[71] >= by[72] {
-		t.Errorf("prime drop missing: speedup(71)=%.2f >= speedup(72)=%.2f", by[71], by[72])
+	if !by[71].Prime || by[72].Prime {
+		t.Errorf("prime flags wrong: 71=%v 72=%v", by[71].Prime, by[72].Prime)
 	}
-	if by[72] < 25 {
-		t.Errorf("full-node speedup %.1f unreasonably low", by[72])
+	// 71 ranks can only split the 15360-wide mesh 1D: ceil(15360/71).
+	if by[71].InnerDimension != 217 {
+		t.Errorf("inner dimension at 71 ranks = %d, want 217", by[71].InnerDimension)
+	}
+	if by[71].Speedup >= by[72].Speedup {
+		t.Errorf("prime drop missing: speedup(71)=%.2f >= speedup(72)=%.2f", by[71].Speedup, by[72].Speedup)
+	}
+	if by[72].Speedup < 25 {
+		t.Errorf("full-node speedup %.1f unreasonably low", by[72].Speedup)
 	}
 }
 

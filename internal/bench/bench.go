@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -76,7 +77,8 @@ func volumesOf(c memsim.Counts) Volumes {
 // StoreOptions configures the store-ratio benchmark.
 type StoreOptions struct {
 	Machine *machine.Spec
-	// Streams is the number of independent store streams (1-3).
+	// Streams is the number of independent store streams (1-3; 0
+	// means 1).
 	Streams int
 	// NT selects non-temporal stores.
 	NT bool
@@ -109,10 +111,11 @@ func (r StoreResult) Ratio() float64 {
 
 // RunStore executes the store microbenchmark.
 func RunStore(o StoreOptions) (StoreResult, error) {
-	if err := checkCores(o.Machine, o.Cores); err != nil {
+	if err := errors.Join(checkCores(o.Machine, o.Cores),
+		checkSize("Streams", int64(o.Streams)), checkSize("BytesPerStream", o.BytesPerStream)); err != nil {
 		return StoreResult{}, err
 	}
-	if o.Streams < 1 {
+	if o.Streams == 0 {
 		o.Streams = 1
 	}
 	if o.BytesPerStream == 0 {
@@ -147,7 +150,8 @@ type CopyOptions struct {
 	// means one contiguous stream.
 	Inner int
 	Halo  int
-	// Elems is the total number of elements copied per core.
+	// Elems is the total number of elements copied per core (default
+	// 1 Mi).
 	Elems int64
 	// NT uses non-temporal stores for the destination.
 	NT    bool
@@ -181,7 +185,8 @@ func (r CopyResult) RWRatio() float64 {
 
 // RunCopy executes the copy benchmark.
 func RunCopy(o CopyOptions) (CopyResult, error) {
-	if err := checkCores(o.Machine, o.Cores); err != nil {
+	if err := errors.Join(checkCores(o.Machine, o.Cores), checkSize("Inner", int64(o.Inner)),
+		checkSize("Halo", int64(o.Halo)), checkSize("Elems", o.Elems)); err != nil {
 		return CopyResult{}, err
 	}
 	if o.Elems == 0 {
@@ -191,7 +196,7 @@ func RunCopy(o CopyOptions) (CopyResult, error) {
 		o.Seed = 0xC0B1
 	}
 	inner := o.Inner
-	if inner <= 0 {
+	if inner == 0 {
 		inner = int(o.Elems)
 	}
 
@@ -273,6 +278,14 @@ func checkCores(spec *machine.Spec, cores int) error {
 	}
 	if cores < 1 || cores > spec.Cores() {
 		return fmt.Errorf("bench: core count %d outside 1..%d", cores, spec.Cores())
+	}
+	return nil
+}
+
+// checkSize rejects a negative size option; zero selects its default.
+func checkSize(name string, v int64) error {
+	if v < 0 {
+		return fmt.Errorf("bench: %s %d is negative", name, v)
 	}
 	return nil
 }

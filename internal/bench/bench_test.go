@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -257,6 +258,46 @@ func TestBenchValidation(t *testing.T) {
 	}
 	if _, err := RunCopy(CopyOptions{Machine: machine.ICX8360Y(), Cores: 0}); err == nil {
 		t.Error("zero cores accepted")
+	}
+}
+
+// TestBenchRejectsNegativeSizes: a negative size is an error, never a
+// silently nonsensical run (zero still selects the default).
+func TestBenchRejectsNegativeSizes(t *testing.T) {
+	clx := machine.CLX8280()
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"store Streams", func() error {
+			_, err := RunStore(StoreOptions{Machine: clx, Cores: 1, Streams: -1, BytesPerStream: 4096})
+			return err
+		}},
+		{"store BytesPerStream", func() error {
+			_, err := RunStore(StoreOptions{Machine: clx, Cores: 1, BytesPerStream: -64})
+			return err
+		}},
+		{"copy Inner", func() error {
+			_, err := RunCopy(CopyOptions{Machine: clx, Cores: 1, Inner: -216, Elems: 4096})
+			return err
+		}},
+		{"copy Halo", func() error {
+			_, err := RunCopy(CopyOptions{Machine: clx, Cores: 1, Inner: 216, Halo: -1, Elems: 4096})
+			return err
+		}},
+		{"copy Elems", func() error {
+			_, err := RunCopy(CopyOptions{Machine: clx, Cores: 1, Elems: -1})
+			return err
+		}},
+		{"kernel ElemsPerStream", func() error {
+			_, err := RunKernel(KernelOptions{Machine: clx, Kernel: "copy", Cores: 1, ElemsPerStream: -8})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s: err = %v, want a negative-size error", c.name, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -121,7 +122,7 @@ func RunKernel(o KernelOptions) (KernelResult, error) {
 	if !ok {
 		return KernelResult{}, fmt.Errorf("bench: unknown kernel %q (have %v)", o.Kernel, KernelNames())
 	}
-	if err := checkCores(o.Machine, o.Cores); err != nil {
+	if err := errors.Join(checkCores(o.Machine, o.Cores), checkSize("ElemsPerStream", o.ElemsPerStream)); err != nil {
 		return KernelResult{}, err
 	}
 	if o.ElemsPerStream == 0 {

@@ -189,31 +189,3 @@ type ScalingPoint struct {
 	Prime          bool
 	InnerDimension int
 }
-
-// ScalingCurve models ranks 1..maxRanks and returns speedup and achieved
-// bandwidth per rank count (Fig. 2).
-func ScalingCurve(base TrafficOptions, maxRanks int) ([]ScalingPoint, error) {
-	var serial float64
-	out := make([]ScalingPoint, 0, maxRanks)
-	for n := 1; n <= maxRanks; n++ {
-		o := base
-		o.Ranks = n
-		m, err := ModelNode(o)
-		if err != nil {
-			return nil, err
-		}
-		if n == 1 {
-			serial = m.TotalStepSeconds
-		}
-		out = append(out, ScalingPoint{
-			Ranks:          n,
-			Speedup:        serial / m.TotalStepSeconds,
-			BandwidthGBs:   m.BandwidthBytes / 1e9,
-			StepSeconds:    m.StepSeconds,
-			MPISeconds:     m.MPIPerStep.Total(),
-			Prime:          decomp.IsPrime(n),
-			InnerDimension: decomp.InnerDim(n, o.GridX, o.GridY),
-		})
-	}
-	return out, nil
-}

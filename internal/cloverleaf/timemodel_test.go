@@ -118,26 +118,3 @@ func TestMPIShares(t *testing.T) {
 			m19.MPIPerStep.Waitall, m18.MPIPerStep.Waitall)
 	}
 }
-
-// TestScalingCurveMonotonicOverall: speedup grows from 1 to >30 over the
-// node and is 1.0 serially.
-func TestScalingCurve(t *testing.T) {
-	pts, err := ScalingCurve(TrafficOptions{
-		Machine: machine.ICX8360Y(), MaxRows: 16, AlignArrays: true, HotspotOnly: true,
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("%d points", len(pts))
-	}
-	if pts[0].Speedup != 1 {
-		t.Errorf("serial speedup = %g", pts[0].Speedup)
-	}
-	if pts[3].Speedup < 3 {
-		t.Errorf("4-core speedup = %g, want near 4", pts[3].Speedup)
-	}
-	if !pts[2].Prime || pts[3].Prime {
-		t.Error("prime flags wrong")
-	}
-}

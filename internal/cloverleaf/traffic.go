@@ -54,10 +54,13 @@ type LoopTraffic struct {
 	Hotspot      bool
 	CallsPerStep float64
 	FlopsPerIt   int
-	// Counts is the node-aggregate traffic of ONE call of the loop
-	// (scaled from the truncated simulation to the full y extent).
+	// Counts is the raw sum of each rank group's representative counts
+	// for ONE call of the loop over the simulated (possibly truncated)
+	// rows: neither weighted by the ranks per group nor scaled to the
+	// full y extent.
 	Counts memsim.Counts
-	// scaled volumes as floats (scaling produces non-integers)
+	// Node-aggregate volumes of one call: weighted by the ranks per
+	// group and scaled to the full y extent (hence floats).
 	ReadBytes, WriteBytes, ItoMBytes float64
 	// Iters is the node-aggregate iteration count of one call.
 	Iters float64

@@ -18,8 +18,8 @@ func benchRunner(s Scenario) (Metrics, error) {
 	return m, nil
 }
 
-// BenchmarkEngineThroughput is the dispatch-layer baseline for
-// BENCH_sweep.json: scenarios executed per op through the full engine
+// BenchmarkEngineThroughput is the local dispatch-layer benchmark:
+// scenarios executed per op through the full engine
 // path (memoizer partition, local backend pool, result ordering), on a
 // fresh engine each iteration so nothing is served from cache.
 func BenchmarkEngineThroughput(b *testing.B) {
