@@ -118,3 +118,30 @@ func TestMPIShares(t *testing.T) {
 			m19.MPIPerStep.Waitall, m18.MPIPerStep.Waitall)
 	}
 }
+
+// TestScalingCurve: the first cores of a node scale near-linearly on the
+// hotspot loops — speedup and achieved bandwidth grow with every added
+// rank, reaching at least 3x at 4 ranks.
+func TestScalingCurve(t *testing.T) {
+	var serial, prevSpeedup, prevBW float64
+	for n := 1; n <= 4; n++ {
+		m, err := ModelNode(TrafficOptions{
+			Machine: machine.ICX8360Y(), Ranks: n, MaxRows: 16, AlignArrays: true, HotspotOnly: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 1 {
+			serial = m.TotalStepSeconds
+		}
+		speedup := serial / m.TotalStepSeconds
+		if n > 1 && (speedup <= prevSpeedup || m.BandwidthBytes <= prevBW) {
+			t.Errorf("ranks=%d: speedup %.3g / bandwidth %.3g GB/s did not grow over %d ranks (%.3g / %.3g GB/s)",
+				n, speedup, m.BandwidthBytes/1e9, n-1, prevSpeedup, prevBW/1e9)
+		}
+		prevSpeedup, prevBW = speedup, m.BandwidthBytes
+	}
+	if prevSpeedup < 3 {
+		t.Errorf("4-core speedup = %g, want near 4", prevSpeedup)
+	}
+}
